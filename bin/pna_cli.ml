@@ -5,7 +5,9 @@
     [memleak] (E6), [audit] (E7), [defmatrix]/[overhead] (E8),
     [chaos] (E9), [randtest] (E10), [repair] (E11), [throughput] (E12),
     [telemetry] (E13), [oracle] (E14), [scaling] (E15), [netgate] (E16),
-    [gengate] (E17), [tracegate] (E18), [vmgate] (E19), [cowgate] (E20),
+    [gengate] (E17), [tracegate] (E18), [vmgate] (E19: the bytecode VM
+    against the recorded observations of the tree-walking evaluator it
+    replaced), [cowgate] (E20),
     plus [generate]/[fuzz]/[corpus]
     for the generative attack catalogue, [batch]/[serve] to drive the
     parallel scenario service,
@@ -15,8 +17,9 @@
     fuse per-process exports), [forensics] to replay an attack from its
     flight-recorder bundle, [top] to poll a serving process's metrics
     over the wire, [list]/[run]/[layout] for exploration and [all] to
-    regenerate everything. Experiment commands exit non-zero when the
-    experiment fails its verdict, so they can gate CI. *)
+    regenerate everything. Experiment commands, [all] included, exit
+    non-zero when any experiment fails its verdict, so they can gate
+    CI. *)
 
 open Cmdliner
 module Catalog = Pna_attacks.Catalog
@@ -538,7 +541,10 @@ let inspect_cmd =
       Fmt.pr "  strings: %a@." Fmt.(Dump.list Dump.string) strings;
       (* run it and show the post-mortem *)
       Pna_machine.Machine.set_input ~ints ~strings m;
-      let o = Pna_minicpp.Interp.run m a.Catalog.program ~entry:a.Catalog.entry in
+      let o =
+        Pna_minicpp.Vm.run m (Pna_minicpp.Vm.load a.Catalog.program)
+          ~entry:a.Catalog.entry
+      in
       Fmt.pr "@.run: %a@." Pna_minicpp.Outcome.pp_status o.Pna_minicpp.Outcome.status;
       Fmt.pr "events:@.";
       List.iter
@@ -580,7 +586,7 @@ let coverage_cmd =
       Pna_machine.Machine.set_input ~ints ~strings m;
       let cov, hook = Pna.Coverage.collector () in
       let o =
-        Pna_minicpp.Interp.run ~on_stmt:hook m a.Catalog.program
+        Pna_minicpp.Vm.run ~on_stmt:hook m (Pna_minicpp.Vm.load a.Catalog.program)
           ~entry:a.Catalog.entry
       in
       Fmt.pr "%s under %s: %a@.@." a.Catalog.id config.Config.name
@@ -926,15 +932,30 @@ let gengate_cmd =
     Term.(const run $ gen_seed_t $ gen_n_t 1000)
 
 let vmgate_cmd =
-  let run seed n =
-    let g = VmGate.run ~seed ~n () in
-    Fmt.pr "%a@." VmGate.pp g;
-    if not g.VmGate.v_ok then exit 1
+  let record_t =
+    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE"
+           ~doc:"Write the VM's observations of every row to FILE as a new              fixture instead of checking the committed one. Re-recording              replaces the tree-walker's observations with the VM's own, so              it is only for a deliberate, reviewed change of behaviour              (a new attack, a generator change); diff the result.")
+  in
+  let commit_t =
+    Arg.(value & opt string "unknown" & info [ "commit" ] ~docv:"SHA"
+           ~doc:"With $(b,--record): the commit stamped into the fixture              header.")
+  in
+  let run seed n record commit =
+    match record with
+    | Some path ->
+      let text =
+        VmGate.record ~commit ~recorded_with:"bytecode VM" ~seed ~n ()
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text)
+    | None ->
+      let g = VmGate.run ~seed ~n () in
+      Fmt.pr "%a@." VmGate.pp g;
+      if not g.VmGate.v_ok then exit 1
   in
   Cmd.v
     (Cmd.info "vmgate"
-       ~doc:"E19: the bytecode-engine gate — the compiled VM and the              tree-walking interpreter produce identical outcomes, verdicts,              sanitizer observations and access accounting over the whole              catalogue and a seeded genome stream, and the VM clears a 3x              rewound-run speed floor.")
-    Term.(const run $ gen_seed_t $ gen_n_t 1000)
+       ~doc:"E19: the bytecode VM reproduces the recorded tree-walker — every              row of the committed fixture (the catalogue under defenses off              and full, plain and sanitized; the seeded genome stream; fixed              plain, sanitized, deadline and chaos-supervised genome sets)              re-runs on the VM with identical outcome, event digest,              verdict, violation digest, access accounting and retry              history. A divergent, missing, extra or unparsable row fails.              $(b,--seed) and $(b,-n) select the genome stream; the committed              fixture holds seed 42 and 1000 genomes.")
+    Term.(const run $ gen_seed_t $ gen_n_t 1000 $ record_t $ commit_t)
 
 let cowgate_cmd =
   let run seed n =
@@ -949,16 +970,23 @@ let cowgate_cmd =
 
 let all_cmd =
   simple "all" "Run every experiment (E1-E20)." (fun () ->
-      E.run_all Fmt.stdout ();
-      (* E17/E19/E20 at sampling counts — the full-stream runs are the
-         dedicated [gengate] / [vmgate] / [cowgate] entry points *)
+      let verdicts = E.run_all Fmt.stdout () in
+      (* E17/E20 at sampling counts — the full-stream runs are the
+         dedicated [gengate] / [cowgate] entry points. E19 checks every
+         fixture row: a sampled stream would leave rows unchecked. *)
       let g = GenGate.run ~n:300 () in
-      Fmt.pr "@.%a@." GenGate.pp g;
-      let v = VmGate.run ~n:150 () in
-      Fmt.pr "@.%a@." VmGate.pp v;
+      Fmt.pr "%a@.@." GenGate.pp g;
+      let v = VmGate.run () in
+      Fmt.pr "%a@.@." VmGate.pp v;
       let c = CowGate.run ~n:100 () in
-      Fmt.pr "@.%a@." CowGate.pp c;
-      if not (g.GenGate.e_ok && v.VmGate.v_ok && c.CowGate.c_ok) then exit 1)
+      Fmt.pr "%a@.@." CowGate.pp c;
+      let verdicts =
+        verdicts
+        @ [ ("E17", g.GenGate.e_ok); ("E19", v.VmGate.v_ok);
+            ("E20", c.CowGate.c_ok) ]
+      in
+      Fmt.pr "%a@." E.pp_verdicts verdicts;
+      if not (E.all_ok verdicts) then exit 1)
 
 (* ---- net: the TCP front end (serve-tcp / loadgen / compact / netgate) ---- *)
 
@@ -1283,7 +1311,7 @@ let exec_cmd =
   let run path config ints strings verbose =
     let prog = parse_file path in
     let o =
-      Pna_minicpp.Interp.execute ~config ~input_ints:ints ~input_strings:strings
+      Pna_minicpp.Vm.execute ~config ~input_ints:ints ~input_strings:strings
         prog
     in
     Fmt.pr "%a@." Pna_minicpp.Outcome.pp o;

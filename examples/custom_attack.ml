@@ -11,6 +11,7 @@ open Pna_minicpp.Dsl
 module Class_def = Pna_layout.Class_def
 module Layout = Pna_layout.Layout
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
@@ -75,7 +76,7 @@ let () =
      log[2] := &system@."
     fake_vtable;
 
-  let o = Interp.run m program_ ~entry:"main" in
+  let o = Vm.run m (Vm.load program_) ~entry:"main" in
   Fmt.pr "@.outcome: %a@." O.pp_status o.O.status;
   List.iter (fun e -> Fmt.pr "  %s@." (Pna_machine.Event.to_string e)) o.O.events;
   match o.O.status with

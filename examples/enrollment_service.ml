@@ -10,6 +10,7 @@ open Pna_minicpp.Dsl
 module Wire = Pna_serial.Wire
 module Victim = Pna_serial.Victim
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module Vmem = Pna_vmem.Vmem
@@ -47,7 +48,7 @@ let run ~checked payloads =
   let prog = service ~checked in
   let m = Interp.load ~config:Config.none prog in
   Machine.set_input ~strings:payloads m;
-  let o = Interp.run m prog ~entry:"main" in
+  let o = Vm.run m (Vm.load prog) ~entry:"main" in
   (o, m)
 
 let () =

@@ -10,7 +10,7 @@
 *)
 
 module Config = Pna_defense.Config
-module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module O = Pna_minicpp.Outcome
 module D = Pna_attacks.Driver
 
@@ -33,7 +33,7 @@ let () =
       (Random.State.bits rng lsl 1 lxor Random.State.bits rng) land 0x7fffffff
     in
     let ints = List.init 3 (fun _ -> rand31 ()) in
-    let o = Interp.execute ~config:Config.none ~input_ints:ints program_ in
+    let o = Vm.execute ~config:Config.none ~input_ints:ints program_ in
     match o.O.status with
     | O.Exited _ -> t.clean <- t.clean + 1
     | O.Crashed _ -> t.crashed <- t.crashed + 1

@@ -6,6 +6,7 @@
 
 open Pna_minicpp.Dsl
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module Vmem = Pna_vmem.Vmem
@@ -41,7 +42,7 @@ let () =
   let secret_addr = Machine.global_addr_exn m "secret" in
   Fmt.pr "before: secret = %d@." (Vmem.read_i32 (Machine.mem m) secret_addr);
 
-  let outcome = Interp.run m program_ ~entry:"main" in
+  let outcome = Vm.run m (Vm.load program_) ~entry:"main" in
   Fmt.pr "run:    %a@." Pna_minicpp.Outcome.pp_status outcome.Pna_minicpp.Outcome.status;
 
   let secret = Vmem.read_u32 (Machine.mem m) secret_addr in
@@ -56,6 +57,6 @@ let () =
   (* the same program under the bounds-checked placement defense *)
   Fmt.pr "@.same program under the bounds-check defense:@.";
   let o2 =
-    Interp.execute ~config:Config.bounds_check ~input_ints:[ 0x41414141 ] program_
+    Vm.execute ~config:Config.bounds_check ~input_ints:[ 0x41414141 ] program_
   in
   Fmt.pr "  %a@." Pna_minicpp.Outcome.pp_status o2.Pna_minicpp.Outcome.status

@@ -47,28 +47,20 @@ let crashed (o : Outcome.t) =
   | Outcome.Crashed _ | Outcome.Out_of_memory | Outcome.Timeout _ -> true
   | _ -> false
 
-(* --- execution engine selection --- *)
+(* --- the execution engine --- *)
 
-type engine = [ `Interp | `Bytecode ]
+(* Compatibility names: the bytecode VM is the only engine, so each has
+   one value and nothing reads it to choose a path. *)
+type engine = [ `Bytecode ]
 
-(* Like PNA_SANITIZE below: CI's bytecode test pass exports
-   PNA_ENGINE=bytecode to run every driver-based test on the VM; explicit
-   [?engine] arguments still win. *)
-let env_engine : engine =
-  match Sys.getenv_opt "PNA_ENGINE" with
-  | Some ("bytecode" | "vm" | "compiled") -> `Bytecode
-  | _ -> `Interp
+let env_engine : engine = `Bytecode
+let engine_name (`Bytecode : engine) = "bytecode"
 
-let engine_name = function `Interp -> "interp" | `Bytecode -> "bytecode"
-
-(* One entry point for both engines; [unit_] lets a prepared scenario
-   reuse its compilation instead of consulting the unit cache. *)
-let exec ?max_steps ?on_stmt ?on_tick ~engine ?unit_ m prog ~entry =
-  match engine with
-  | `Interp -> Interp.run ?max_steps ?on_stmt ?on_tick m prog ~entry
-  | `Bytecode ->
-    let u = match unit_ with Some u -> u | None -> Vm.load prog in
-    Vm.run ?max_steps ?on_stmt ?on_tick m u ~entry
+(* [unit_] lets a prepared scenario reuse its compilation instead of
+   consulting the unit cache. *)
+let exec ?max_steps ?on_stmt ?on_tick ?unit_ m prog ~entry =
+  let u = match unit_ with Some u -> u | None -> Vm.load prog in
+  Vm.run ?max_steps ?on_stmt ?on_tick m u ~entry
 
 (* Judge, run and check on an already-loaded machine. [run] and
    [run_prepared] share this so a rewound machine and a fresh load are
@@ -76,8 +68,7 @@ let exec ?max_steps ?on_stmt ?on_tick ~engine ?unit_ m prog ~entry =
    The caller is expected to hold a "run" span open; memory-access
    deltas and the verdict are published into it. [flight] attaches the
    given flight-recorder session for the duration of the run. *)
-let run_on ?max_steps ?san ?flight ?(engine = env_engine) ?unit_ m
-    (a : Catalog.t) ~config =
+let run_on ?max_steps ?san ?flight ?unit_ m (a : Catalog.t) ~config =
   let mem = Machine.mem m in
   let r0 = Vmem.total_reads mem and w0 = Vmem.total_writes mem in
   let f0 = Vmem.total_faults mem in
@@ -114,8 +105,7 @@ let run_on ?max_steps ?san ?flight ?(engine = env_engine) ?unit_ m
           match site with Some h -> h func stmt | None -> ())
   in
   let outcome =
-    exec ?max_steps ?on_stmt ~engine ?unit_ m a.Catalog.program
-      ~entry:a.Catalog.entry
+    exec ?max_steps ?on_stmt ?unit_ m a.Catalog.program ~entry:a.Catalog.entry
   in
   (* The oracle stops recording before the verdict: checks legitimately
      inspect freed blocks and stale tails to prove corruption. *)
@@ -131,20 +121,22 @@ let run_on ?max_steps ?san ?flight ?(engine = env_engine) ?unit_ m
   let verdict =
     Trace.with_span ~cat:"driver" "verdict" @@ fun () -> a.Catalog.check m outcome
   in
-  Trace.add_args
-    ([
-       ("status", Trace.Str (Fmt.str "%a" Outcome.pp_status outcome.Outcome.status));
-       ("engine", Trace.Str (engine_name engine));
-       ("success", Trace.Bool verdict.Catalog.success);
-       ("steps", Trace.Int outcome.Outcome.steps);
-       ("mem_reads", Trace.Int (Vmem.total_reads mem - r0));
-       ("mem_writes", Trace.Int (Vmem.total_writes mem - w0));
-       ("mem_faults", Trace.Int (Vmem.total_faults mem - f0));
-     ]
-    @
-    match san with
-    | None -> []
-    | Some s -> [ ("san_violations", Trace.Int (San.total s)) ]);
+  (* built only when tracing: rendering the status costs a measurable
+     share of a short VM run, and E13 bounds the disabled path *)
+  if Pna_telemetry.Switch.enabled () then
+    Trace.add_args
+      ([
+         ("status", Trace.Str (Fmt.str "%a" Outcome.pp_status outcome.Outcome.status));
+         ("success", Trace.Bool verdict.Catalog.success);
+         ("steps", Trace.Int outcome.Outcome.steps);
+         ("mem_reads", Trace.Int (Vmem.total_reads mem - r0));
+         ("mem_writes", Trace.Int (Vmem.total_writes mem - w0));
+         ("mem_faults", Trace.Int (Vmem.total_faults mem - f0));
+       ]
+      @
+      match san with
+      | None -> []
+      | Some s -> [ ("san_violations", Trace.Int (San.total s)) ]);
   {
     attack = a;
     config;
@@ -171,18 +163,17 @@ let env_sanitize =
   | _ -> false
 
 let run ?(config = Config.none) ?max_steps ?(sanitize = env_sanitize)
-    ?(engine = env_engine) (a : Catalog.t) =
+    ?engine:(_ : engine option) (a : Catalog.t) =
   run_span ~image:"fresh-load" a ~config @@ fun () ->
   let m = Interp.load ~config a.Catalog.program in
   let san = if sanitize then Some (oracle m ~scenario:a.Catalog.id) else None in
-  run_on ?max_steps ?san ~engine m a ~config
+  run_on ?max_steps ?san m a ~config
 
 (* A fully instrumented forensic run: sanitizer attached, Vmem write
    trace armed (so the bundle can name the writes that produced the
    corrupting bytes), a dedicated flight session, and the bundle dumped
    under [dir] whatever the outcome. *)
-let run_forensic ?(config = Config.none) ?max_steps ?(engine = env_engine) ~dir
-    (a : Catalog.t) =
+let run_forensic ?(config = Config.none) ?max_steps ~dir (a : Catalog.t) =
   run_span ~image:"fresh-load" a ~config @@ fun () ->
   let m = Interp.load ~config a.Catalog.program in
   let san = oracle m ~scenario:a.Catalog.id in
@@ -190,7 +181,7 @@ let run_forensic ?(config = Config.none) ?max_steps ?(engine = env_engine) ~dir
   let fl =
     Flight.start ~scenario:a.Catalog.id ~config:config.Config.name
   in
-  let r = run_on ?max_steps ~san ~flight:fl ~engine m a ~config in
+  let r = run_on ?max_steps ~san ~flight:fl m a ~config in
   let bundle =
     Flight.dump ~dir ~machine:m ~san
       ~status:(Fmt.str "%a" Outcome.pp_status r.outcome.Outcome.status)
@@ -203,7 +194,7 @@ let run_forensic ?(config = Config.none) ?max_steps ?(engine = env_engine) ~dir
    hijack or corruption event fired. With [sanitize] the shadow oracle
    rides along; its records come back for false-positive auditing. *)
 let run_hardened ?(config = Config.none) ?max_steps ?(sanitize = env_sanitize)
-    ?(engine = env_engine) (a : Catalog.t) =
+    (a : Catalog.t) =
   Option.map
     (fun program ->
       let m = Interp.load ~config program in
@@ -215,7 +206,7 @@ let run_hardened ?(config = Config.none) ?max_steps ?(sanitize = env_sanitize)
       let ints, strings = a.Catalog.mk_input m in
       Machine.set_input ~ints ~strings m;
       let on_stmt = Option.map site_hook san in
-      let outcome = exec ?max_steps ?on_stmt ~engine m program ~entry:a.Catalog.entry in
+      let outcome = exec ?max_steps ?on_stmt m program ~entry:a.Catalog.entry in
       Option.iter San.seal san;
       let safe =
         Outcome.exited_normally outcome
@@ -232,15 +223,14 @@ type prepared = {
   pr_machine : Machine.t;
   pr_image : Machine.snapshot;  (** the post-load state rewound to *)
   pr_san : San.t option;
-  pr_engine : engine;
-  pr_unit : Pna_minicpp.Compile.t option;
-      (** compiled once at prepare time when the engine is bytecode, so
-          rewound runs pay zero compilation *)
+  pr_unit : Pna_minicpp.Compile.t;
+      (** compiled once at prepare time, so rewound runs pay zero
+          compilation *)
   mutable pr_restores : int;
 }
 
 let prepare ?(config = Config.none) ?(sanitize = env_sanitize)
-    ?(engine = env_engine) (a : Catalog.t) =
+    ?engine:(_ : engine option) (a : Catalog.t) =
   Trace.with_span ~cat:"driver" "prepare"
     ~args:[ ("scenario", Trace.Str a.Catalog.id) ]
   @@ fun () ->
@@ -254,11 +244,7 @@ let prepare ?(config = Config.none) ?(sanitize = env_sanitize)
     pr_machine = m;
     pr_image = Machine.snapshot m;
     pr_san = san;
-    pr_engine = engine;
-    pr_unit =
-      (match engine with
-      | `Bytecode -> Some (Vm.load a.Catalog.program)
-      | `Interp -> None);
+    pr_unit = Vm.load a.Catalog.program;
     pr_restores = 0;
   }
 
@@ -270,12 +256,10 @@ let reset p =
 
 let restores p = p.pr_restores
 
-let prepared_engine p = p.pr_engine
-
 let run_prepared ?max_steps p =
   run_span ~image:"rewind" p.pr_attack ~config:p.pr_config @@ fun () ->
-  run_on ?max_steps ?san:p.pr_san ~engine:p.pr_engine ?unit_:p.pr_unit (reset p)
-    p.pr_attack ~config:p.pr_config
+  run_on ?max_steps ?san:p.pr_san ~unit_:p.pr_unit (reset p) p.pr_attack
+    ~config:p.pr_config
 
 let prepared_input p =
   p.pr_attack.Catalog.mk_input (reset p)
@@ -283,7 +267,7 @@ let prepared_input p =
 (* --- frozen images: share one prepared snapshot across domains --- *)
 
 (* Everything needed to rebuild a [prepared] without re-running
-   [Interp.load]: the frozen post-load snapshot plus the immutable
+   the loader: the frozen post-load snapshot plus the immutable
    inputs. The snapshot is only ever read — [Machine.restore] never
    writes into it — so one image can back any number of domain-local
    replicas; frozen segment pages are shared, and each replica's rewinds
@@ -292,8 +276,7 @@ type image = {
   im_attack : Catalog.t;
   im_config : Config.t;
   im_sanitize : bool;
-  im_engine : engine;
-  im_unit : Pna_minicpp.Compile.t option;
+  im_unit : Pna_minicpp.Compile.t;
   im_snapshot : Machine.snapshot;
   im_env : Pna_layout.Layout.env;
 }
@@ -303,7 +286,6 @@ let freeze p =
     im_attack = p.pr_attack;
     im_config = p.pr_config;
     im_sanitize = p.pr_san <> None;
-    im_engine = p.pr_engine;
     im_unit = p.pr_unit;
     im_snapshot = p.pr_image;
     im_env = Machine.env p.pr_machine;
@@ -339,12 +321,10 @@ let thaw im =
     pr_machine = m;
     pr_image = im.im_snapshot;
     pr_san = san;
-    pr_engine = im.im_engine;
     pr_unit = im.im_unit;
     pr_restores = 0;
   }
 
-let image_engine im = im.im_engine
 let image_sanitized im = im.im_sanitize
 
 (* --- supervised execution under a fault plan --- *)
@@ -388,7 +368,7 @@ let transient (o : Outcome.t) =
   | _ -> false
 
 let supervise ?(config = Config.none) ?(max_retries = 3) ?(jitter_pct = 0)
-    ?(max_steps = default_budget) ?reload ?(engine = env_engine) ~plan
+    ?(max_steps = default_budget) ?reload ?engine:(_ : engine option) ~plan
     (a : Catalog.t) =
   let eng = Chaos.create plan in
   (* Jitter is seeded from the plan, so a supervised run stays replayable
@@ -421,8 +401,8 @@ let supervise ?(config = Config.none) ?(max_retries = 3) ?(jitter_pct = 0)
       Chaos.arm eng m;
       let budget = Chaos.budget eng ~default:max_steps in
       let o =
-        exec ~max_steps:budget ~on_tick:(Chaos.tick eng) ~engine m
-          a.Catalog.program ~entry:a.Catalog.entry
+        exec ~max_steps:budget ~on_tick:(Chaos.tick eng) m a.Catalog.program
+          ~entry:a.Catalog.entry
       in
       (o, Some m)
     with

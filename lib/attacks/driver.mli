@@ -16,21 +16,18 @@ type result = {
           was sanitized *)
 }
 
-type engine = [ `Interp | `Bytecode ]
-(** Which execution engine drives the scenario: the tree-walking
-    interpreter or the compiled bytecode VM ({!Pna_minicpp.Vm}). The two
-    are observationally identical — same outcome, step counts, events,
-    sanitizer observations and taint (the E19 gate) — so the choice is
-    purely a speed lever. *)
+type engine = [ `Bytecode ]
+(** Every scenario runs on the bytecode VM ({!Pna_minicpp.Vm}). [engine],
+    {!env_engine}, {!engine_name} and the [?engine] arguments below are
+    compatibility names for callers written against the former
+    two-engine API: each has one value and nothing reads it to choose a
+    path. *)
 
 val env_engine : engine
-(** The engine the [PNA_ENGINE] environment variable selected at process
-    start (["bytecode"], ["vm"] or ["compiled"] pick the VM; anything else
-    the interpreter) — the default for every [?engine] flag here. *)
+(** [`Bytecode]; the environment is not consulted. *)
 
 val engine_name : engine -> string
-(** ["interp"] or ["bytecode"] — the spelling cache keys and wire frames
-    use. *)
+(** ["bytecode"]. *)
 
 val env_sanitize : bool
 (** True when the [PNA_SANITIZE] environment variable asked for the
@@ -53,7 +50,7 @@ val run :
   Catalog.t ->
   result
 (** Load, compute attacker input against the image, run, judge.
-    [max_steps] bounds the interpreter budget — the same deadline knob
+    [max_steps] bounds the step budget — the same deadline knob
     {!supervise} has always taken, so a serving layer can enforce per-job
     deadlines uniformly. [sanitize] (default false, or true when the
     [PNA_SANITIZE] environment variable is set — CI's second test pass)
@@ -66,7 +63,6 @@ val run :
 val run_forensic :
   ?config:Config.t ->
   ?max_steps:int ->
-  ?engine:engine ->
   dir:string ->
   Catalog.t ->
   result * Pna_flight.Flight.session * string
@@ -80,7 +76,6 @@ val run_hardened :
   ?config:Config.t ->
   ?max_steps:int ->
   ?sanitize:bool ->
-  ?engine:engine ->
   Catalog.t ->
   (Outcome.t * bool * San.violation list) option
 (** Run the §5.1 hardened twin under the same attacker input; the boolean
@@ -102,13 +97,9 @@ type prepared
 val prepare :
   ?config:Config.t -> ?sanitize:bool -> ?engine:engine -> Catalog.t -> prepared
 (** With [sanitize], the oracle is attached before the snapshot is
-    frozen, so every rewind restores the pristine shadow map too. With
-    the bytecode engine, the program is compiled here — once — and every
-    rewound run reuses the unit. *)
-
-val prepared_engine : prepared -> engine
-(** The engine this prepared image runs on — serving layers key their
-    memo entries on it, so mixed-engine batches never share a hit. *)
+    frozen, so every rewind restores the pristine shadow map too. The
+    program is compiled here — once — and every rewound run reuses the
+    unit. *)
 
 val run_prepared : ?max_steps:int -> prepared -> result
 
@@ -125,10 +116,10 @@ val prepared_input : prepared -> int list * string list
 (** {1 Frozen images: one prepared snapshot, many domain replicas}
 
     An [image] is the immutable part of a prepared scenario — the frozen
-    post-load snapshot plus program, config, engine and compiled unit.
+    post-load snapshot plus program, config and compiled unit.
     It is only ever read, so one image may be shared between domains;
     {!thaw} instantiates a domain-local replica around it without
-    re-running [Interp.load]. Replicas share the image's frozen segment
+    re-running the loader. Replicas share the image's frozen segment
     backing, and their per-run rewinds are dirty-page blits against it. *)
 
 type image
@@ -143,7 +134,6 @@ val thaw : image -> prepared
     frozen snapshot once, and return it as a domain-local replica —
     byte-identical to the prepared value the image was frozen from. *)
 
-val image_engine : image -> engine
 val image_sanitized : image -> bool
 
 (** {1 Supervised execution under a fault plan} *)

@@ -1,4 +1,4 @@
-(** Statement-level execution profiling over the interpreter's [on_stmt]
+(** Statement-level execution profiling over the VM's [on_stmt]
     hook: which functions ran, how many statements of each kind, how much
     of the program text was exercised. Used by `pna_cli trace` and handy
     when debugging why an attack input didn't reach its placement. *)
@@ -60,7 +60,7 @@ let functions_entered t = Hashtbl.length t.per_func
 (* The generator's coverage feedback wants statement *sites*, not kind
    totals: index every statement of the program (in [fold_program]
    order) and count hits per site. Sites are matched by physical
-   identity — the interpreter hands back the very stmt values the AST
+   identity — the VM hands back the very stmt values the AST
    holds, and structural equality would merge distinct-but-identical
    statements into one site. *)
 

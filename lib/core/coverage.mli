@@ -1,4 +1,4 @@
-(** Statement-level execution profiling over the interpreter's [on_stmt]
+(** Statement-level execution profiling over the VM's [on_stmt]
     hook: which functions ran, how many statements of each kind. *)
 
 type t = {
@@ -10,7 +10,7 @@ type t = {
 val create : unit -> t
 
 val hook : t -> string -> Pna_minicpp.Ast.stmt -> unit
-(** Feed this to {!Pna_minicpp.Interp.run}'s [on_stmt]. *)
+(** Feed this to {!Pna_minicpp.Vm.run}'s [on_stmt]. *)
 
 val collector : unit -> t * (string -> Pna_minicpp.Ast.stmt -> unit)
 (** A fresh collector and its hook, in one call. *)

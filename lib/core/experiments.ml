@@ -10,6 +10,7 @@ module Machine = Pna_machine.Machine
 module Event = Pna_machine.Event
 module Heap = Pna_machine.Heap
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Outcome = Pna_minicpp.Outcome
 module Audit = Pna_analysis.Audit
 module Finding = Pna_analysis.Finding
@@ -138,7 +139,7 @@ let e5 ?(bounds = [ 5; 100; 10_000; 1_000_000; 0x3fffffff ]) () =
   List.map
     (fun n ->
       let o =
-        Interp.execute ~config:Config.none ~max_steps:5_000_000
+        Vm.execute ~config:Config.none ~max_steps:5_000_000
           ~input_ints:[ n ] Pna_attacks.L15_stack_var.program_
       in
       { forced_n = n; steps = o.Outcome.steps; status = o.Outcome.status })
@@ -167,16 +168,10 @@ type memleak_row = {
 let e6 ?(points = [ 0; 50; 100; 200; 400; 800 ]) () =
   List.map
     (fun iters ->
-      let m =
-        Interp.load ~config:Config.none
-          (Pna_attacks.L23_memleak.mk_program ~checked:false)
-      in
+      let prog = Pna_attacks.L23_memleak.mk_program ~checked:false in
+      let m = Interp.load ~config:Config.none prog in
       Machine.set_input ~ints:[ iters ] ~strings:[] m;
-      let _o =
-        Interp.run ~max_steps:50_000_000 m
-          (Pna_attacks.L23_memleak.mk_program ~checked:false)
-          ~entry:"main"
-      in
+      let _o = Vm.run ~max_steps:50_000_000 m (Vm.load prog) ~entry:"main" in
       {
         iterations = iters;
         leaked = Machine.leaked_bytes m;
@@ -498,7 +493,7 @@ let e10 ?(trials = 500) () =
   let clean = ref 0 and crashed = ref 0 and exploited = ref 0 in
   for _ = 1 to trials do
     let ints = List.init 3 (fun _ -> rand31 ()) in
-    let o = Interp.execute ~config:Config.none ~input_ints:ints prog in
+    let o = Vm.execute ~config:Config.none ~input_ints:ints prog in
     match o.Outcome.status with
     | Outcome.Exited _ -> incr clean
     | Outcome.Crashed _ -> incr crashed
@@ -727,8 +722,8 @@ type e13_report = {
 
 (* Overhead: the E12 workload (benign_pool under every config) driven two
    ways on one domain. The baseline inlines what PR-2's run_prepared did
-   — rewind, recompute input, interpret, judge — calling the machine and
-   interpreter directly so none of the telemetry call sites added by
+   — rewind, recompute input, execute, judge — calling the machine and
+   VM directly so none of the telemetry call sites added by
    this layer (driver spans, vmem delta sampling, span annotations) are
    on the path. The production side is {!Driver.run_prepared} with
    telemetry disabled. Best-of-[blocks] timing on both sides resists
@@ -738,6 +733,7 @@ let e13_overhead ~reps ~blocks () =
   assert (not (Telemetry.enabled ()));
   let configs = Config.all @ [ Config.pool_discipline ] in
   let a = benign_pool in
+  let u = Vm.load a.Catalog.program in
   let baselines =
     List.map
       (fun config ->
@@ -752,10 +748,7 @@ let e13_overhead ~reps ~blocks () =
           Machine.restore m snap;
           let ints, strings = a.Catalog.mk_input m in
           Machine.set_input ~ints ~strings m;
-          let o =
-            Interp.run ~max_steps:e12_budget m a.Catalog.program
-              ~entry:a.Catalog.entry
-          in
+          let o = Vm.run ~max_steps:e12_budget m u ~entry:a.Catalog.entry in
           ignore (a.Catalog.check m o)
         done)
       baselines
@@ -1014,7 +1007,7 @@ let e14_clean () =
     let san = San.attach ~scenario:name (Machine.mem m) in
     Machine.attach_sanitizer m (Some san);
     Machine.set_input ~ints:[ n ] ~strings:[] m;
-    let o = Interp.run ~max_steps:50_000_000 m prog ~entry:"main" in
+    let o = Vm.run ~max_steps:50_000_000 m (Vm.load prog) ~entry:"main" in
     San.seal san;
     if not (Outcome.exited_normally o) then
       { cl_scenario = name; cl_records = max 1 (List.length (San.violations san)) }
@@ -1036,16 +1029,14 @@ let e14_overhead ~reps ~blocks () =
   let a = benign_pool in
   let config = Config.none in
   let m = Interp.load ~config a.Catalog.program in
+  let u = Vm.load a.Catalog.program in
   let snap = Machine.snapshot m in
   let baseline_block () =
     for _ = 1 to reps do
       Machine.restore m snap;
       let ints, strings = a.Catalog.mk_input m in
       Machine.set_input ~ints ~strings m;
-      let o =
-        Interp.run ~max_steps:e12_budget m a.Catalog.program
-          ~entry:a.Catalog.entry
-      in
+      let o = Vm.run ~max_steps:e12_budget m u ~entry:a.Catalog.entry in
       ignore (a.Catalog.check m o)
     done
   in
@@ -1401,7 +1392,7 @@ let e16_fuzz ?(frames = 120) ~host ~port ~registry ~seed () =
               rq_chaos_seed = None;
               rq_max_steps = Some 1000;
               rq_sanitize = false;
-              rq_engine = `Interp;
+              rq_engine = `Bytecode;
               rq_trace = None;
             }))
   in
@@ -1867,7 +1858,7 @@ let e18_compat () =
       rq_chaos_seed = None;
       rq_max_steps = Some 1000;
       rq_sanitize = false;
-      rq_engine = `Interp;
+      rq_engine = `Bytecode;
       rq_trace = trace;
     }
   in
@@ -2131,14 +2122,50 @@ let e18_ok r =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every experiment's verdict by name; a run passes only when at least
+   one verdict was reached and none failed. *)
+let all_ok verdicts = verdicts <> [] && List.for_all snd verdicts
+
+let pp_verdicts ppf verdicts =
+  Fmt.pf ppf "@[<v>verdicts: %a@,=> %s@]"
+    Fmt.(list ~sep:(any ", ") (fun ppf (name, ok) ->
+             pf ppf "%s %s" name (if ok then "ok" else "FAILED")))
+    verdicts
+    (if all_ok verdicts then "all experiments hold"
+     else
+       Fmt.str "FAILED: %s"
+         (String.concat ", "
+            (List.filter_map
+               (fun (name, ok) -> if ok then None else Some name)
+               verdicts)))
+
+(* Runs and prints E1-E16 and E18 in order, returning their verdicts. *)
 let run_all ppf () =
-  Fmt.pf ppf "%a@.@.%a@.@.%a@.@.%a@.@.%a@.@.%a@.@.%a@.@.%a@.@.%a@." pp_e1
-    (e1 ()) pp_e2_e3 (e2_e3 ()) pp_e4 (e4 ()) pp_e5 (e5 ()) pp_e6 (e6 ())
-    pp_e7 (e7 ()) pp_e8_matrix (e8_matrix ()) pp_e8_overhead (e8_overhead ())
-    pp_e9 (e9 ());
-  Fmt.pf ppf "@.%a@.@.%a@.@.%a@.@.%a@.@.%a@.@.%a@." pp_e10 (e10 ()) pp_e11
-    (e11 ()) pp_e12 (e12 ()) pp_e13 (e13 ()) pp_e14 (e14 ()) pp_e15 (e15 ());
-  (* the wire gate at a sampling request count — the full host-adaptive
-     run is the dedicated [e16] / netgate entry point *)
-  Fmt.pf ppf "@.%a@." pp_e16 (e16 ~requests:20_000 ~chaos_requests:600 ());
-  Fmt.pf ppf "@.%a@." pp_e18 (e18 ())
+  let check pp ok run () =
+    let r = run () in
+    Fmt.pf ppf "%a@.@." pp r;
+    ok r
+  in
+  List.map
+    (fun (name, f) -> (name, f ()))
+    [
+      ("E1", check pp_e1 e1_ok e1);
+      ("E2/E3", check pp_e2_e3 e2_e3_ok e2_e3);
+      ("E4", check pp_e4 e4_ok e4);
+      ("E5", check pp_e5 e5_ok (fun () -> e5 ()));
+      ("E6", check pp_e6 e6_ok (fun () -> e6 ()));
+      ("E7", check pp_e7 e7_ok e7);
+      ("E8 matrix", check pp_e8_matrix e8_matrix_ok (fun () -> e8_matrix ()));
+      ("E8 overhead", check pp_e8_overhead e8_overhead_ok (fun () -> e8_overhead ()));
+      ("E9", check pp_e9 e9_ok (fun () -> e9 ()));
+      ("E10", check pp_e10 e10_ok (fun () -> e10 ()));
+      ("E11", check pp_e11 e11_ok e11);
+      ("E12", check pp_e12 e12_ok (fun () -> e12 ()));
+      ("E13", check pp_e13 e13_ok (fun () -> e13 ()));
+      ("E14", check pp_e14 e14_ok (fun () -> e14 ()));
+      ("E15", check pp_e15 e15_ok (fun () -> e15 ()));
+      (* the wire gate at a sampling request count — the full
+         host-adaptive run is the dedicated [e16] / netgate entry point *)
+      ("E16", check pp_e16 e16_ok (fun () -> e16 ~requests:20_000 ~chaos_requests:600 ()));
+      ("E18", check pp_e18 e18_ok (fun () -> e18 ()));
+    ]

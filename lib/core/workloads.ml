@@ -67,4 +67,4 @@ let heap_churn =
       ])
 
 let run ?(config = Pna_defense.Config.none) prog ~n =
-  Pna_minicpp.Interp.execute ~max_steps:50_000_000 ~config ~input_ints:[ n ] prog
+  Pna_minicpp.Vm.execute ~max_steps:50_000_000 ~config ~input_ints:[ n ] prog

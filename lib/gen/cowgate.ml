@@ -15,7 +15,7 @@
       reference semantics
 
     — over the whole attack catalogue (defenses off and fully on, plain
-    and sanitized, both execution engines) and a seeded stream of
+    and sanitized) and a seeded stream of
     generated genomes. Each variant runs the scenario twice (the second
     run rewinds a dirtied machine — the path under test) and is then
     rewound one final time. Compared: the complete
@@ -64,7 +64,6 @@ let state_digest m =
 type row = {
   c_id : string;
   c_config : string;
-  c_engine : string;
   c_sanitized : bool;
   c_results : bool;  (** per-round results identical across the variants *)
   c_rewound : bool;  (** post-rewind state digests identical *)
@@ -86,10 +85,10 @@ let drive ~max_steps p =
   in
   (rs, state_digest (Driver.reset p))
 
-let compare_paths ~max_steps ~config ~sanitize ~engine (a : Catalog.t) =
-  let cow = Driver.prepare ~config ~sanitize ~engine a in
+let compare_paths ~max_steps ~config ~sanitize (a : Catalog.t) =
+  let cow = Driver.prepare ~config ~sanitize a in
   let replica = Driver.thaw (Driver.freeze cow) in
-  let reference = Driver.prepare ~config ~sanitize ~engine a in
+  let reference = Driver.prepare ~config ~sanitize a in
   Machine.set_cow (Driver.reset reference) false;
   let r_ref, d_ref = drive ~max_steps reference in
   let r_cow, d_cow = drive ~max_steps cow in
@@ -97,7 +96,6 @@ let compare_paths ~max_steps ~config ~sanitize ~engine (a : Catalog.t) =
   {
     c_id = a.Catalog.id;
     c_config = config.Config.name;
-    c_engine = Driver.engine_name engine;
     c_sanitized = sanitize;
     c_results = r_cow = r_ref && r_rep = r_ref;
     c_rewound = String.equal d_cow d_ref && String.equal d_rep d_ref;
@@ -120,21 +118,17 @@ let catalogue () =
     (fun (a : Catalog.t) ->
       List.concat_map
         (fun config ->
-          List.concat_map
+          List.map
             (fun sanitize ->
-              List.map
-                (fun engine ->
-                  compare_paths ~max_steps:(budget_for a) ~config ~sanitize
-                    ~engine a)
-                [ `Interp; `Bytecode ])
+              compare_paths ~max_steps:(budget_for a) ~config ~sanitize a)
             [ false; true ])
         [ Config.none; Config.full ])
     All.attacks
 
-(* The generated stream walks all four sanitize x engine combinations
-   round-robin, so the dirty-page paths the catalogue's hand-written
+(* The generated stream alternates plain and sanitized runs, so the
+   dirty-page paths the catalogue's hand-written
    scenarios never take (odd copy shapes, generated placement sites)
-   are exercised under each. *)
+   are exercised under both. *)
 let genomes ~seed ~n =
   let rng = R.create (seed lxor 0xc09a7e) in
   let bad = ref [] in
@@ -142,16 +136,14 @@ let genomes ~seed ~n =
     let g = Genome.generate rng in
     let row =
       compare_paths ~max_steps:Oracle.default_max_steps ~config:Config.none
-        ~sanitize:(i land 1 = 0)
-        ~engine:(if i land 2 = 0 then `Interp else `Bytecode)
-        (Build.scenario g)
+        ~sanitize:(i land 1 = 0) (Build.scenario g)
     in
     if not (row_ok row) then bad := row :: !bad
   done;
   List.rev !bad
 
 type t = {
-  c_rows : row list;  (** catalogue: attack x config x sanitize x engine *)
+  c_rows : row list;  (** catalogue: attack x config x sanitize *)
   c_genomes : int;  (** generated genomes compared *)
   c_genome_bad : row list;  (** the divergent ones — gate requires none *)
   c_seed : int;
@@ -170,7 +162,7 @@ let run ?(seed = 42) ?(n = 300) () =
   }
 
 let pp_row ppf r =
-  Fmt.pf ppf "%-28s %-6s %-8s %-5s DIVERGES%s%s" r.c_id r.c_config r.c_engine
+  Fmt.pf ppf "%-28s %-6s %-5s DIVERGES%s%s" r.c_id r.c_config
     (if r.c_sanitized then "san" else "plain")
     (if r.c_results then "" else "  [results]")
     (if r.c_rewound then "" else "  [rewound state]")

@@ -33,7 +33,6 @@ module Config = Pna_defense.Config
 module Finding = Pna_analysis.Finding
 module Checker = Pna_analysis.Placement_checker
 module O = Pna_minicpp.Outcome
-module Interp = Pna_minicpp.Interp
 module Vm = Pna_minicpp.Vm
 module Event = Pna_machine.Event
 module Coverage = Pna.Coverage
@@ -125,8 +124,7 @@ let shape_key (g : Genome.t) =
 
 let default_max_steps = 60_000
 
-let run ?(configs = Config.all) ?(max_steps = default_max_steps)
-    ?(engine = Driver.env_engine) g =
+let run ?(configs = Config.all) ?(max_steps = default_max_steps) g =
   let id = Genome.id g in
   let program = Build.program_of g in
   let scenario = Build.scenario g in
@@ -156,15 +154,15 @@ let run ?(configs = Config.all) ?(max_steps = default_max_steps)
   in
   let plain =
     guarded "sanitized" (fun () ->
-        Driver.run ~max_steps ~sanitize:true ~engine scenario)
+        Driver.run ~max_steps ~sanitize:true scenario)
   in
   let again =
     guarded "repeat" (fun () ->
-        Driver.run ~max_steps ~sanitize:true ~engine scenario)
+        Driver.run ~max_steps ~sanitize:true scenario)
   in
   let bare =
     guarded "unsanitized" (fun () ->
-        Driver.run ~max_steps ~sanitize:false ~engine scenario)
+        Driver.run ~max_steps ~sanitize:false scenario)
   in
   let status, verdict, oversize, viol =
     match plain with
@@ -214,7 +212,7 @@ let run ?(configs = Config.all) ?(max_steps = default_max_steps)
         match
           guarded
             (Fmt.str "defense:%s" c.Config.name)
-            (fun () -> Driver.run ~config:c ~max_steps ~sanitize:false ~engine scenario)
+            (fun () -> Driver.run ~config:c ~max_steps ~sanitize:false scenario)
         with
         | None -> None
         | Some r ->
@@ -258,20 +256,11 @@ let run ?(configs = Config.all) ?(max_steps = default_max_steps)
   (* coverage features for the campaign's novelty filter *)
   let features =
     let bm, hook = Coverage.bitmap program in
-    (* the coverage replay runs on the same engine as the verdict runs:
-       the VM fires [on_stmt] for exactly the statements the interpreter
-       executes, so the bitmap is engine-independent (E19) *)
     (match
        guarded "coverage" (fun () ->
-           match engine with
-           | `Interp ->
-             Interp.execute ~max_steps ~config:Config.none
-               ~input_ints:(Build.input_ints g None)
-               ~on_stmt:hook program
-           | `Bytecode ->
-             Vm.execute ~max_steps ~config:Config.none
-               ~input_ints:(Build.input_ints g None)
-               ~on_stmt:hook program)
+           Vm.execute ~max_steps ~config:Config.none
+             ~input_ints:(Build.input_ints g None)
+             ~on_stmt:hook program)
      with
     | _ -> ());
     List.concat

@@ -5,13 +5,14 @@
     ([Br]) and jumps ([Jmp]) whose targets are backpatched int refs. The
     compiler resolves what is static at compile time — frame slots for
     locals, sizeofs and alignments, builtin bindings, callee indices,
-    constructor overloads — and leaves the rest to closures that
-    transliterate {!Interp} case by case.
+    constructor overloads — and leaves the rest to closures over the
+    {!Interp} kernel.
 
-    The contract is exact observational equivalence with the tree-walking
-    interpreter: same step counts (every expression node ticks once, every
-    executed statement ticks once, in the same order), same machine events,
-    same sanitizer observations, same taint, same outcome — gated by E19.
+    Every expression node ticks once and every executed statement ticks
+    once, in evaluation order. The step counts, machine events, sanitizer
+    observations, taint and outcomes are pinned by E19 against the
+    recorded observations of the tree-walking evaluator this compiler
+    replaced.
 
     Compiled units are immutable after {!compile} returns and are shared
     across domains, so nothing in {!t} may be mutated at run time (per-run
@@ -23,8 +24,12 @@ module Machine = Pna_machine.Machine
 module Event = Pna_machine.Event
 module Vmem = Pna_vmem.Vmem
 
-(* Compiled-code return: the VM's analogue of [Interp.Return_exc]. *)
+(* Compiled-code return. *)
 exception Creturn of Value.t option
+
+(* A syntactically non-lvalue expression used where a location is
+   required. *)
+exception Not_lvalue
 
 type rt = {
   m : Machine.t;
@@ -111,7 +116,7 @@ let field_rt rt cname fname =
     f
 
 (* Successes are memoized; failures recompute so the Type_error text is
-   re-raised exactly as the interpreter would. *)
+   re-raised unchanged. *)
 let resolve_method_rt rt cname meth =
   let key = (cname, meth) in
   match Hashtbl.find_opt rt.meth_memo key with
@@ -132,8 +137,8 @@ let lookup_var_slow rt name =
 (* Exactly [Interp.load_scalar], but value and taint come back from one
    packed combined Vmem read (one segment resolution, no intermediate
    allocation) and the result record is built directly. Cold scalar
-   shapes — and the non-scalar type error — defer to the interpreter's
-   path verbatim. *)
+   shapes — and the non-scalar type error — defer to the kernel's path
+   verbatim. *)
 let load_fast rt addr (ty : Ctype.t) =
   let mem = rt.mem in
   match ty with
@@ -229,7 +234,7 @@ let exec_code rt (code : instr array) =
   done
 
 (* The legitimate return address for a frame pushed by [caller]: just past
-   the call site, as the interpreter computes it from the caller's name. *)
+   the call site, computed from the caller's name. *)
 let caller_ret rt caller =
   let a = rt.faddr.(caller) in
   if a >= 0 then a
@@ -243,9 +248,9 @@ let caller_ret rt caller =
     a
   end
 
-(* Mirrors [List.iter2]'s partial application in [Interp.invoke]: params
-   are bound left to right until one list runs out, then the arity
-   mismatch is reported. *)
+(* Params are bound left to right until one list runs out, then the
+   arity mismatch is reported (the partial application [List.iter2]
+   makes). *)
 let rec bind_params rt fname params argv =
   match (params, argv) with
   | [], [] -> ()
@@ -281,7 +286,7 @@ let rec vinvoke rt ~caller fi argv =
             ~tainted))
 
 (* Runtime name dispatch (method impls, function-pointer symbols):
-   builtins first, exactly like [Interp.call_function]. *)
+   builtins first, then program functions. *)
 and call_by_name rt ~caller name argv =
   match Interp.builtin rt.m name argv with
   | Some r -> r
@@ -291,7 +296,7 @@ and call_by_name rt ~caller name argv =
     | None -> Interp.type_error "call to undefined function %s" name)
 
 (* ------------------------------------------------------------------ *)
-(* Strict binary operators (transliterated from [Interp.eval_binop])   *)
+(* Strict binary operators                                            *)
 
 let strict_binop rt op (va : Value.t) (vb : Value.t) =
   let tainted = va.Value.tainted || vb.Value.tainted in
@@ -382,7 +387,7 @@ let func_index ctx fn =
 
 (* Can compiling [e] as an lvalue ever raise [Not_lvalue]? Shaped
    lvalues (variables, field/arrow/index/deref chains) never do — their
-   failures are [Type_error]s, exactly as in the interpreter — so sites
+   failures are [Type_error]s — so sites
    that probe "is this an lvalue?" ([Index] bases, method receivers) can
    skip the exception handler when the shape is static. [Field] recurses
    (its base is compiled as an lvalue); [Arrow]/[Deref]/[Index] evaluate
@@ -394,9 +399,8 @@ let rec shaped_lv = function
   | _ -> false
 
 (* Static shape of a placement's declared extent: only a literal
-   address-of names an object with a definite size (cf.
-   [Interp.declared_extent]); the pointee type still comes from the
-   runtime value. *)
+   address-of names an object with a definite size; the pointee type
+   still comes from the runtime value. *)
 let compile_extent place =
   match place with
   | Ast.Addr _ ->
@@ -454,7 +458,7 @@ let rec compile_lvalue ctx e : clv =
     else
       fun rt ->
         let i = Value.as_int (cidx rt) in
-        (match (try Some (cbase_lv rt) with Interp.Not_lvalue -> None) with
+        (match (try Some (cbase_lv rt) with Not_lvalue -> None) with
         | Some (addr, Ctype.Array (el, _)) -> (addr + (i * sizeof_rt rt el), el)
         | _ -> ptr_path rt i)
   | Ast.Deref p -> (
@@ -469,7 +473,7 @@ let rec compile_lvalue ctx e : clv =
     fun rt ->
       let addr, _ = ce rt in
       (addr, ty)
-  | _ -> fun _ -> raise Interp.Not_lvalue
+  | _ -> fun _ -> raise Not_lvalue
 
 and compile_expr ctx e : cexpr =
   match e with
@@ -558,7 +562,7 @@ and compile_expr ctx e : cexpr =
         | Some None -> vzero
         | None -> (
           (* unreachable while [is_builtin] stays in lockstep; fall back to
-             the interpreter's full dispatch order *)
+             the full runtime dispatch order *)
           match call_by_name rt ~caller:ctx.x_self name argv with
           | Some v -> v
           | None -> vzero)
@@ -572,7 +576,7 @@ and compile_expr ctx e : cexpr =
           | Some v -> v
           | None -> vzero)
       | None ->
-        (* the interpreter evaluates the arguments before failing *)
+        (* the arguments are evaluated before failing *)
         fun rt ->
           tick rt;
           let _argv = List.map (fun ce -> ce rt) cargs in
@@ -588,7 +592,7 @@ and compile_expr ctx e : cexpr =
       let obj_addr, cname =
         let lv =
           if obj_shaped then Some (cobj_lv rt)
-          else try Some (cobj_lv rt) with Interp.Not_lvalue -> None
+          else try Some (cobj_lv rt) with Not_lvalue -> None
         in
         match lv with
         | Some (addr, Ctype.Class c) -> (addr, c)
@@ -915,9 +919,9 @@ and compile_construct ctx cname args =
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
 
-(* Class- and char-array-typed stores transliterate [Interp.assign_into];
-   the location's type is runtime (it may come from a cast or a looked-up
-   variable), so the dispatch is too. *)
+(* Class- and char-array-typed stores: the location's type is runtime
+   (it may come from a cast or a looked-up variable), so the dispatch is
+   too. *)
 and compile_assign ctx e =
   let ce = compile_expr ctx e in
   fun rt (addr, ty) ->

@@ -1,7 +1,8 @@
-(** The MiniC++ interpreter.
-
-    Evaluates the AST of {!Ast} against a {!Pna_machine.Machine} process
-    image. Semantics follow compiled C++ where it matters to the paper:
+(** The MiniC++ semantic kernel: the exception vocabulary, scalar memory
+    access, control-transfer classification, method resolution, the libc
+    builtins and the image loader. The bytecode compiler ({!Compile}) and
+    VM ({!Vm}) execute programs on top of it. Semantics follow compiled
+    C++ where it matters to the paper:
 
     - no bounds checks on array indexing, pointer arithmetic, string
       builtins or placement new;
@@ -17,41 +18,14 @@
 open Pna_layout
 module Machine = Pna_machine.Machine
 module Event = Pna_machine.Event
-module Heap = Pna_machine.Heap
 module Config = Pna_defense.Config
 module Vmem = Pna_vmem.Vmem
-module Fault = Pna_vmem.Fault
 module Segment = Pna_vmem.Segment
 
 exception Halt of Outcome.status
-exception Return_exc of Value.t option
-exception Not_lvalue
 exception Type_error of string
 
 let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
-
-type state = {
-  m : Machine.t;
-  prog : Ast.program;
-  max_steps : int;
-  max_depth : int;
-  on_stmt : (string -> Ast.stmt -> unit) option;
-  on_tick : (int -> unit) option;
-      (* fault-injection hook: called with the step count on every tick; may
-         raise [Fault.Fault] to model a spurious trap mid-execution *)
-  mutable steps : int;
-  mutable depth : int;
-  mutable pnew_counter : int;
-}
-
-let tick st =
-  st.steps <- st.steps + 1;
-  (match st.on_tick with Some f -> f st.steps | None -> ());
-  if st.steps > st.max_steps then
-    raise (Halt (Outcome.Timeout { steps = st.steps }))
-
-let env st = Machine.env st.m
-let sizeof st ty = Layout.sizeof (env st) ty
 
 (* ------------------------------------------------------------------ *)
 (* Scalar memory access                                                *)
@@ -136,398 +110,9 @@ let rec resolve_method env cname meth =
     try_bases c.Class_def.c_bases)
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
-
-let rec lvalue st ~func e =
-  match e with
-  | Ast.Var name -> (
-    match Machine.lookup_var st.m name with
-    | Some (addr, ty) -> (addr, ty)
-    | None -> type_error "unbound variable %s" name)
-  | Ast.Field (base, f) -> (
-    let addr, ty = lvalue st ~func base in
-    match ty with
-    | Ctype.Class c ->
-      let fld = Layout.field_exn (Layout.of_class (env st) c) f in
-      (addr + fld.Layout.f_offset, fld.Layout.f_type)
-    | _ -> type_error "field access on non-class %a" Ctype.pp ty)
-  | Ast.Arrow (p, f) -> (
-    let pv = eval st ~func p in
-    match pv.Value.ty with
-    | Ctype.Ptr (Ctype.Class c) ->
-      let fld = Layout.field_exn (Layout.of_class (env st) c) f in
-      (Value.as_bits pv + fld.Layout.f_offset, fld.Layout.f_type)
-    | ty -> type_error "-> on non-class-pointer %a" Ctype.pp ty)
-  | Ast.Index (base, idx) -> (
-    let i = Value.as_int (eval st ~func idx) in
-    match try_lvalue st ~func base with
-    | Some (addr, Ctype.Array (el, _)) -> (addr + (i * sizeof st el), el)
-    | _ -> (
-      let pv = eval st ~func base in
-      match pv.Value.ty with
-      | Ctype.Ptr el -> (Value.as_bits pv + (i * sizeof st el), el)
-      | ty -> type_error "index on non-array %a" Ctype.pp ty))
-  | Ast.Deref p -> (
-    let pv = eval st ~func p in
-    match pv.Value.ty with
-    | Ctype.Ptr el -> (Value.as_bits pv, el)
-    | ty -> type_error "deref of non-pointer %a" Ctype.pp ty)
-  | Ast.Cast (ty, e) ->
-    let addr, _ = lvalue st ~func e in
-    (addr, ty)
-  | _ -> raise Not_lvalue
-
-and try_lvalue st ~func e =
-  match lvalue st ~func e with
-  | r -> Some r
-  | exception Not_lvalue -> None
-
-and eval st ~func e : Value.t =
-  tick st;
-  match e with
-  | Ast.Int n -> Value.int_ n
-  | Ast.Flt f -> Value.float_ f
-  | Ast.Str s ->
-    Value.ptr ~ty:(Ctype.Ptr Ctype.Char) (Machine.intern_string st.m s)
-  | Ast.Nullptr -> Value.null
-  | Ast.Cin -> Value.int_ ~tainted:true (Machine.next_int st.m)
-  | Ast.Cin_str ->
-    let s = Machine.next_string st.m in
-    Value.ptr ~ty:(Ctype.Ptr Ctype.Char) ~tainted:true
-      (Machine.intern_string ~tainted:true st.m s)
-  | Ast.Sizeof ty -> Value.int_ ~ty:Ctype.Uint (sizeof st ty)
-  | Ast.Fun_addr f ->
-    Value.ptr ~ty:Ctype.Fun_ptr (Machine.function_addr st.m f)
-  | Ast.Addr e ->
-    let addr, ty = lvalue st ~func e in
-    Value.ptr ~ty:(Ctype.Ptr ty) addr
-  | Ast.Var _ | Ast.Field _ | Ast.Arrow _ | Ast.Index _ | Ast.Deref _ -> (
-    let addr, ty = lvalue st ~func e in
-    match ty with
-    | Ctype.Class _ ->
-      (* a class lvalue used as a value denotes its address *)
-      Value.ptr ~ty:(Ctype.Ptr ty) addr
-    | Ctype.Array (el, _) ->
-      (* array-to-pointer decay *)
-      Value.ptr ~ty:(Ctype.Ptr el) addr
-    | _ -> load_scalar st.m addr ty)
-  | Ast.Un (op, e) -> eval_unop st ~func op e
-  | Ast.Bin (op, a, b) -> eval_binop st ~func op a b
-  | Ast.Cast (ty, e) -> (
-    let v = eval st ~func e in
-    match ty with
-    | Ctype.Float | Ctype.Double -> Value.coerce ty v
-    | _ -> Value.retype ty (Value.coerce ty v))
-  | Ast.Call (name, args) -> (
-    match call_function st ~caller:func name (List.map (eval st ~func) args) with
-    | Some v -> v
-    | None -> Value.int_ 0)
-  | Ast.Mcall (obj, meth, args) -> eval_method_call st ~func obj meth args
-  | Ast.Fpcall (f, args) -> eval_fun_ptr_call st ~func f args
-  | Ast.New (ty, args) -> (
-    let size = sizeof st ty in
-    let addr = Machine.malloc st.m size in
-    (match ty with
-    | Ctype.Class cname ->
-      Machine.install_vptrs st.m ~addr ~cname;
-      construct st ~func ~addr ~cname args
-    | _ -> ());
-    Value.ptr ~ty:(Ctype.Ptr ty) addr)
-  | Ast.New_arr (ty, n) ->
-    let count = Value.as_int (eval st ~func n) in
-    if count <= 0 then raise (Halt (Outcome.Crashed "std::bad_alloc (array size)"));
-    let addr = Machine.malloc st.m (count * sizeof st ty) in
-    Value.ptr ~ty:(Ctype.Ptr ty) addr
-  | Ast.Pnew (place, ty, args) -> (
-    let pv = eval st ~func place in
-    let addr = Value.as_bits pv in
-    let size = sizeof st ty in
-    let cname = match ty with Ctype.Class c -> Some c | _ -> None in
-    let align = Layout.alignof (env st) ty in
-    ignore
-      (Machine.placement_new ?cname ~align
-         ?declared:(declared_extent st place pv)
-         st.m ~site:(fresh_site st func) ~addr ~size);
-    (match cname with
-    | Some cname -> construct st ~func ~addr ~cname args
-    | None -> ());
-    Value.ptr ~ty:(Ctype.Ptr ty) addr)
-  | Ast.Pnew_arr (place, ty, n) ->
-    let pv = eval st ~func place in
-    let addr = Value.as_bits pv in
-    let count_v = eval st ~func n in
-    let count = Value.as_int count_v in
-    let size = count * sizeof st ty in
-    if size < 0 then raise (Halt (Outcome.Crashed "std::bad_alloc (array size)"));
-    let align = Layout.alignof (env st) ty in
-    ignore
-      (Machine.placement_new ~align
-         ?declared:(declared_extent st place pv)
-         st.m ~site:(fresh_site st func) ~addr ~size);
-    Value.ptr ~ty:(Ctype.Ptr ty) addr
-
-(* The static extent of the storage a placement's place expression names:
-   only a literal address-of — [new (&player.stud1) ...] — names an
-   object with a definite size; a pointer value may point anywhere into a
-   larger arena. Feeds the sanitizer's shadow geometry. *)
-and declared_extent st place (pv : Value.t) =
-  match (place, pv.Value.ty) with
-  | Ast.Addr _, Ctype.Ptr ((Ctype.Class _ | Ctype.Array _) as pt) ->
-    Some (sizeof st pt)
-  | _ -> None
-
-and fresh_site st func =
-  st.pnew_counter <- st.pnew_counter + 1;
-  Fmt.str "%s#pnew%d" func st.pnew_counter
-
-and eval_unop st ~func op e =
-  match op with
-  | Ast.Neg ->
-    let v = eval st ~func e in
-    if Ctype.is_float v.Value.ty then
-      Value.float_ ~ty:v.Value.ty ~tainted:v.Value.tainted (-.Value.as_float v)
-    else Value.int_ ~ty:v.Value.ty ~tainted:v.Value.tainted (-Value.as_int v)
-  | Ast.Not ->
-    let v = eval st ~func e in
-    Value.int_ ~ty:Ctype.Bool ~tainted:v.Value.tainted
-      (if Value.truthy v then 0 else 1)
-  | Ast.Preinc | Ast.Predec ->
-    let addr, ty = lvalue st ~func e in
-    let v = load_scalar st.m addr ty in
-    let delta = if op = Ast.Preinc then 1 else -1 in
-    let v' =
-      match ty with
-      | Ctype.Ptr el ->
-        Value.ptr ~ty ~tainted:v.Value.tainted
-          (Value.as_bits v + (delta * sizeof st el))
-      | t when Ctype.is_float t ->
-        Value.float_ ~ty ~tainted:v.Value.tainted
-          (Value.as_float v +. float_of_int delta)
-      | _ -> Value.int_ ~ty ~tainted:v.Value.tainted (Value.as_int v + delta)
-    in
-    store_scalar st.m addr ty v';
-    v'
-
-and eval_binop st ~func op a b =
-  match op with
-  | Ast.And ->
-    let va = eval st ~func a in
-    if not (Value.truthy va) then Value.int_ ~ty:Ctype.Bool ~tainted:va.Value.tainted 0
-    else
-      let vb = eval st ~func b in
-      Value.int_ ~ty:Ctype.Bool
-        ~tainted:(va.Value.tainted || vb.Value.tainted)
-        (if Value.truthy vb then 1 else 0)
-  | Ast.Or ->
-    let va = eval st ~func a in
-    if Value.truthy va then Value.int_ ~ty:Ctype.Bool ~tainted:va.Value.tainted 1
-    else
-      let vb = eval st ~func b in
-      Value.int_ ~ty:Ctype.Bool
-        ~tainted:(va.Value.tainted || vb.Value.tainted)
-        (if Value.truthy vb then 1 else 0)
-  | _ -> (
-    let va = eval st ~func a in
-    let vb = eval st ~func b in
-    let tainted = va.Value.tainted || vb.Value.tainted in
-    let bool_ c = Value.int_ ~ty:Ctype.Bool ~tainted (if c then 1 else 0) in
-    match (op, va.Value.ty, vb.Value.ty) with
-    (* pointer arithmetic *)
-    | Ast.Add, Ctype.Ptr el, _ when Ctype.is_integer vb.Value.ty ->
-      Value.ptr ~ty:va.Value.ty ~tainted
-        (Value.as_bits va + (Value.as_int vb * sizeof st el))
-    | Ast.Add, _, Ctype.Ptr el when Ctype.is_integer va.Value.ty ->
-      Value.ptr ~ty:vb.Value.ty ~tainted
-        (Value.as_bits vb + (Value.as_int va * sizeof st el))
-    | Ast.Sub, Ctype.Ptr el, _ when Ctype.is_integer vb.Value.ty ->
-      Value.ptr ~ty:va.Value.ty ~tainted
-        (Value.as_bits va - (Value.as_int vb * sizeof st el))
-    | Ast.Sub, Ctype.Ptr el, Ctype.Ptr _ ->
-      Value.int_ ~tainted ((Value.as_bits va - Value.as_bits vb) / sizeof st el)
-    | (Ast.Eq | Ast.Ne), (Ctype.Ptr _ | Ctype.Fun_ptr), _
-    | (Ast.Eq | Ast.Ne), _, (Ctype.Ptr _ | Ctype.Fun_ptr) ->
-      bool_
-        (if op = Ast.Eq then Value.as_bits va = Value.as_bits vb
-         else Value.as_bits va <> Value.as_bits vb)
-    | _ when Ctype.is_float va.Value.ty || Ctype.is_float vb.Value.ty -> (
-      let x = Value.as_float va and y = Value.as_float vb in
-      let flt v = Value.float_ ~tainted v in
-      match op with
-      | Ast.Add -> flt (x +. y)
-      | Ast.Sub -> flt (x -. y)
-      | Ast.Mul -> flt (x *. y)
-      | Ast.Div -> flt (x /. y)
-      | Ast.Lt -> bool_ (x < y)
-      | Ast.Le -> bool_ (x <= y)
-      | Ast.Gt -> bool_ (x > y)
-      | Ast.Ge -> bool_ (x >= y)
-      | Ast.Eq -> bool_ (x = y)
-      | Ast.Ne -> bool_ (x <> y)
-      | _ -> type_error "invalid float operation")
-    | _ -> (
-      (* 32-bit integer arithmetic: unsigned if either side is unsigned,
-         matching C's usual arithmetic conversions — this is what makes the
-         paper's "n might contain a very large value" underflow real *)
-      let unsigned =
-        va.Value.ty = Ctype.Uint || vb.Value.ty = Ctype.Uint
-      in
-      let x = if unsigned then Value.as_bits va else Value.as_int va in
-      let y = if unsigned then Value.as_bits vb else Value.as_int vb in
-      let ty = if unsigned then Ctype.Uint else Ctype.Int in
-      let num v = Value.int_ ~ty ~tainted v in
-      match op with
-      | Ast.Add -> num (x + y)
-      | Ast.Sub -> num (x - y)
-      | Ast.Mul -> num (x * y)
-      | Ast.Div ->
-        if y = 0 then raise (Halt (Outcome.Crashed "SIGFPE: division by zero"))
-        else num (x / y)
-      | Ast.Mod ->
-        if y = 0 then raise (Halt (Outcome.Crashed "SIGFPE: division by zero"))
-        else num (x mod y)
-      | Ast.Lt -> bool_ (x < y)
-      | Ast.Le -> bool_ (x <= y)
-      | Ast.Gt -> bool_ (x > y)
-      | Ast.Ge -> bool_ (x >= y)
-      | Ast.Eq -> bool_ (x = y)
-      | Ast.Ne -> bool_ (x <> y)
-      | Ast.Band -> num (x land y)
-      | Ast.Bor -> num (x lor y)
-      | Ast.Shl -> num (x lsl (y land 31))
-      | Ast.Shr -> num ((x land 0xffffffff) lsr (y land 31))
-      | Ast.And | Ast.Or ->
-        (* eval_expr lowers these to short-circuit control flow before
-           operand evaluation; reaching strict evaluation is a simulator
-           bug, reported as such rather than an untyped assert. *)
-        raise
-          (Halt
-             (Outcome.Internal_error
-                "logical operator reached strict evaluation"))))
-
-(* Method call: [obj] is a class lvalue or a pointer to class. Virtual
-   methods dispatch through the vtable pointer stored in the object;
-   non-virtual ones resolve statically. *)
-and eval_method_call st ~func obj meth args =
-  let obj_addr, cname =
-    match try_lvalue st ~func obj with
-    | Some (addr, Ctype.Class c) -> (addr, c)
-    | _ -> (
-      let pv = eval st ~func obj in
-      match pv.Value.ty with
-      | Ctype.Ptr (Ctype.Class c) -> (Value.as_bits pv, c)
-      | ty -> type_error "method call on %a" Ctype.pp ty)
-  in
-  let mdef = resolve_method (env st) cname meth in
-  let this = Value.ptr ~ty:(Ctype.Ptr (Ctype.Class cname)) obj_addr in
-  let argv = List.map (eval st ~func) args in
-  if mdef.Class_def.m_virtual then begin
-    match Machine.dispatch st.m ~obj_addr ~static_class:cname ~meth with
-    | Machine.Virtual_ok impl -> (
-      match call_function st ~caller:func impl (this :: argv) with
-      | Some v -> v
-      | None -> Value.int_ 0)
-    | Machine.Virtual_hijacked { target; symbol; tainted } ->
-      raise (Halt (classify st.m ~via:Outcome.Vtable ~target ~symbol ~tainted))
-  end
-  else
-    match call_function st ~caller:func mdef.Class_def.m_impl (this :: argv) with
-    | Some v -> v
-    | None -> Value.int_ 0
-
-(* Call through a function-pointer value. A tainted pointer is a §3.9
-   subterfuge: control goes wherever the attacker wrote. *)
-and eval_fun_ptr_call st ~func f args =
-  let fv = eval st ~func f in
-  let target = Value.as_bits fv in
-  let tainted = fv.Value.tainted in
-  if target = 0 then
-    raise (Halt (Outcome.Crashed "call through null function pointer"));
-  let symbol = Machine.symbol_at st.m target in
-  if tainted then begin
-    Machine.emit st.m
-      (Event.Fun_ptr_hijacked { name = "<indirect>"; actual = target; symbol; tainted });
-    raise (Halt (classify st.m ~via:Outcome.Function_pointer ~target ~symbol ~tainted))
-  end
-  else
-    match symbol with
-    | Some s when Ast.find_func st.prog s <> None -> (
-      let argv = List.map (eval st ~func) args in
-      match call_function st ~caller:func s argv with
-      | Some v -> v
-      | None -> Value.int_ 0)
-    | Some s ->
-      raise
-        (Halt (Outcome.Arc_injection { via = Outcome.Function_pointer; symbol = s; tainted }))
-    | None ->
-      raise (Halt (classify st.m ~via:Outcome.Function_pointer ~target ~symbol ~tainted))
-
-(* Run a constructor body at [addr]. With no user-defined constructor, one
-   pointer argument of class type invokes the implicit shallow copy
-   constructor (memberwise copy — the §3.2 vector). *)
-and construct st ~func ~addr ~cname args =
-  match Ast.find_ctor st.prog cname ~arity:(List.length args) with
-  | Some ctor ->
-    let this = Value.ptr ~ty:(Ctype.Ptr (Ctype.Class cname)) addr in
-    let argv = List.map (eval st ~func) args in
-    ignore (invoke st ~caller:func ctor (this :: argv))
-  | None -> (
-    match args with
-    | [] -> ()
-    | [ arg ] -> (
-      let v = eval st ~func arg in
-      match v.Value.ty with
-      | Ctype.Ptr (Ctype.Class _) | Ctype.Ptr Ctype.Void ->
-        (* implicit copy: memberwise = byte copy of this class' footprint,
-           then the vptr is re-established for the constructed type *)
-        let size = sizeof st (Ctype.Class cname) in
-        Vmem.blit ~tag:"copy-ctor" (Machine.mem st.m) ~src:(Value.as_bits v)
-          ~dst:addr ~len:size;
-        Machine.install_vptrs st.m ~addr ~cname
-      | ty -> type_error "no constructor %s(%a)" cname Ctype.pp ty)
-    | _ -> type_error "no %d-argument constructor for %s" (List.length args) cname)
-
-(* ------------------------------------------------------------------ *)
-(* Calls                                                               *)
-
-and call_function st ~caller name argv =
-  match builtin st.m name argv with
-  | Some r -> r
-  | None -> (
-    match Ast.find_func st.prog name with
-    | Some fn -> invoke st ~caller fn argv
-    | None -> type_error "call to undefined function %s" name)
-
-and invoke st ~caller fn argv =
-  if st.depth >= st.max_depth then
-    raise (Halt (Outcome.Crashed "stack overflow (call depth)"));
-  let name = fn.Ast.fn_name in
-  (* the legitimate return address: just past the call site in the caller *)
-  let ret_to = Machine.function_addr st.m caller + 5 in
-  ignore (Machine.push_frame st.m ~func:name ~ret_to);
-  st.depth <- st.depth + 1;
-  (try
-     List.iter2
-       (fun (pname, pty) v ->
-         let addr = Machine.alloc_local st.m ~name:pname ~ty:pty in
-         store_scalar st.m addr pty v)
-       fn.Ast.fn_params argv
-   with Invalid_argument _ ->
-     type_error "arity mismatch calling %s" name);
-  let result =
-    match exec_block st ~func:name fn.Ast.fn_body with
-    | () -> None
-    | exception Return_exc v -> v
-  in
-  st.depth <- st.depth - 1;
-  match Machine.pop_frame st.m with
-  | Machine.Returned -> result
-  | Machine.Hijacked { target; symbol; tainted } ->
-    raise (Halt (classify st.m ~via:Outcome.Return_address ~target ~symbol ~tainted))
-
-(* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
 
-and builtin m name argv =
+let builtin m name argv =
   let mem = Machine.mem m in
   let arg i = List.nth argv i in
   let addr i = Value.as_bits (arg i) in
@@ -582,94 +167,6 @@ and builtin m name argv =
   | "exit", 1 -> raise (Halt (Outcome.Exited (Value.as_int (arg 0))))
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-
-and exec_block st ~func body = List.iter (exec st ~func) body
-
-and exec st ~func s =
-  tick st;
-  (match st.on_stmt with Some f -> f func s | None -> ());
-  match s with
-  | Ast.Decl (name, ty, init) -> (
-    let addr = Machine.alloc_local st.m ~name ~ty in
-    match init with
-    | None -> ()
-    | Some e -> assign_into st ~func (addr, ty) e)
-  | Ast.Decl_obj (name, cname, args) ->
-    let ty = Ctype.Class cname in
-    let addr = Machine.alloc_local st.m ~name ~ty in
-    Machine.install_vptrs st.m ~addr ~cname;
-    construct st ~func ~addr ~cname args
-  | Ast.Assign (lv, e) ->
-    let addr, ty = lvalue st ~func lv in
-    assign_into st ~func (addr, ty) e
-  | Ast.Expr e -> ignore (eval st ~func e)
-  | Ast.If (c, t, f) ->
-    if Value.truthy (eval st ~func c) then exec_block st ~func t
-    else exec_block st ~func f
-  | Ast.While (c, body) ->
-    let rec loop () =
-      if Value.truthy (eval st ~func c) then begin
-        exec_block st ~func body;
-        loop ()
-      end
-    in
-    loop ()
-  | Ast.For (init, c, step, body) ->
-    Option.iter (exec st ~func) init;
-    let rec loop () =
-      if Value.truthy (eval st ~func c) then begin
-        exec_block st ~func body;
-        Option.iter (exec st ~func) step;
-        loop ()
-      end
-    in
-    loop ()
-  | Ast.Return e -> raise (Return_exc (Option.map (eval st ~func) e))
-  | Ast.Delete e -> Machine.free st.m (Value.as_bits (eval st ~func e))
-  | Ast.Delete_placed (e, ty) ->
-    Machine.delete_placed st.m
-      (Value.as_bits (eval st ~func e))
-      ~placed_size:(sizeof st ty)
-  | Ast.Cout items ->
-    List.iter
-      (fun item ->
-        match item with
-        | Ast.Str s -> Machine.print st.m s
-        | e -> (
-          let v = eval st ~func e in
-          match v.Value.ty with
-          | Ctype.Ptr Ctype.Char ->
-            Machine.print st.m (Vmem.read_cstring (Machine.mem st.m) (Value.as_bits v))
-          | _ -> Machine.print st.m (Value.to_string v)))
-      items
-
-(* Store [e] into the location [(addr, ty)]. Class-typed assignment is a
-   byte copy (the compiler-generated assignment operator). *)
-and assign_into st ~func (addr, ty) e =
-  match ty with
-  | Ctype.Class _ ->
-    let v = eval st ~func e in
-    (match v.Value.ty with
-    | Ctype.Ptr (Ctype.Class _) | Ctype.Ptr Ctype.Void ->
-      Vmem.blit ~tag:"class-assign" (Machine.mem st.m) ~src:(Value.as_bits v)
-        ~dst:addr ~len:(sizeof st ty)
-    | vty -> type_error "cannot assign %a to class lvalue" Ctype.pp vty)
-  | Ctype.Array (Ctype.Char, n) -> (
-    (* char array initialization from a string pointer *)
-    let v = eval st ~func e in
-    match v.Value.ty with
-    | Ctype.Ptr Ctype.Char ->
-      let s = Vmem.read_cstring (Machine.mem st.m) (Value.as_bits v) in
-      let len = min n (String.length s + 1) in
-      Vmem.blit ~tag:"arr-init" (Machine.mem st.m) ~src:(Value.as_bits v)
-        ~dst:addr ~len
-    | vty -> type_error "cannot initialize char array from %a" Ctype.pp vty)
-  | _ ->
-    let v = eval st ~func e in
-    store_scalar st.m addr ty v
-
 (* The static (name, arity) pairs [builtin] dispatches on — the bytecode
    compiler pre-binds these so calls skip the name scan. Must stay in
    lockstep with the match in [builtin]. *)
@@ -681,7 +178,7 @@ let is_builtin name arity =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Loading and running                                                 *)
+(* Loading                                                             *)
 
 let build_env prog =
   let env = Layout.create_env () in
@@ -713,83 +210,3 @@ let load ?heap_size ~config prog =
       | Ast.Sval s -> Vmem.write_string ~tag:"global-init" (Machine.mem m) addr s)
     prog.Ast.p_globals;
   m
-
-let run ?(max_steps = 2_000_000) ?(max_depth = 256) ?on_stmt ?on_tick m prog
-    ~entry =
-  let st =
-    {
-      m;
-      prog;
-      max_steps;
-      max_depth;
-      on_stmt;
-      on_tick;
-      steps = 0;
-      depth = 0;
-      pnew_counter = 0;
-    }
-  in
-  Pna_telemetry.Trace.with_span ~cat:"interp"
-    ~args:[ ("entry", Pna_telemetry.Trace.Str entry) ]
-    "run"
-  @@ fun () ->
-  let status =
-    try
-      match Ast.find_func prog entry with
-      | None -> Outcome.Crashed (Fmt.str "no entry point %s" entry)
-      | Some fn -> (
-        match invoke st ~caller:"_start" fn [] with
-        | Some v -> Outcome.Exited (Value.as_int v)
-        | None -> Outcome.Exited 0)
-    with
-    | Halt s -> s
-    | Event.Security_stop e -> (
-      match e with
-      | Event.Canary_smashed _ -> Outcome.Stack_smashing_detected
-      | Event.Out_of_memory _ -> Outcome.Out_of_memory
-      | Event.Nx_blocked _ -> Outcome.Defense_blocked "nx-stack"
-      | Event.Shadow_stack_blocked _ -> Outcome.Defense_blocked "shadow-stack"
-      | Event.Bounds_blocked _ -> Outcome.Defense_blocked "bounds-check"
-      | _ -> Outcome.Defense_blocked "defense")
-    | Fault.Fault f -> Outcome.Crashed (Fault.to_string f)
-    | Heap.Corrupted (a, msg) ->
-      Outcome.Crashed (Fmt.str "heap corruption at 0x%08x: %s" a msg)
-    | Type_error msg -> Outcome.Crashed (Fmt.str "type error: %s" msg)
-  in
-  Pna_telemetry.Trace.add_args
-    [
-      ("steps", Pna_telemetry.Trace.Int st.steps);
-      ("status", Pna_telemetry.Trace.Str (Fmt.str "%a" Outcome.pp_status status));
-    ];
-  {
-    Outcome.status;
-    events = Machine.events m;
-    output = Machine.output m;
-    steps = st.steps;
-  }
-
-(* Convenience: load + input + run in one call. Loading a hostile source
-   file can exhaust a segment (text/data/bss); classify that as an
-   out-of-memory (or otherwise blocked) outcome instead of letting an
-   exception escape. *)
-let execute ?heap_size ?max_steps ?max_depth ?on_stmt ?on_tick ~config
-    ?(input_ints = []) ?(input_strings = []) ?(entry = "main") prog =
-  match load ?heap_size ~config prog with
-  | m ->
-    Machine.set_input ~ints:input_ints ~strings:input_strings m;
-    run ?max_steps ?max_depth ?on_stmt ?on_tick m prog ~entry
-  | exception (Failure msg | Invalid_argument msg) ->
-    {
-      Outcome.status = Outcome.Crashed (Fmt.str "image load failed: %s" msg);
-      events = [];
-      output = [];
-      steps = 0;
-    }
-  | exception Event.Security_stop e ->
-    let status =
-      match e with
-      | Event.Out_of_memory _ -> Outcome.Out_of_memory
-      | Event.Canary_smashed _ -> Outcome.Stack_smashing_detected
-      | _ -> Outcome.Defense_blocked "defense"
-    in
-    { Outcome.status; events = []; output = []; steps = 0 }

@@ -1,18 +1,14 @@
-(** The MiniC++ interpreter: compiled-C++ semantics (no implicit safety
-    checks) over a {!Pna_machine.Machine} process image.
+(** The MiniC++ semantic kernel: compiled-C++ semantics (no implicit
+    safety checks) over a {!Pna_machine.Machine} process image.
 
-    The exception vocabulary and the small semantic kernel below
-    ([load_scalar], [store_scalar], [classify], [resolve_method],
-    [builtin]) are shared with the bytecode engine ({!Compile}/{!Vm}),
-    which must terminate and classify byte-identically. *)
+    The exception vocabulary, scalar memory access, control-transfer
+    classification, method resolution, the libc builtins and the image
+    loader. The bytecode compiler ({!Compile}) and VM ({!Vm}) execute
+    programs on top of it. *)
 
 exception Halt of Outcome.status
-(** Abnormal termination carrying the outcome status; callers of {!run}
-    never see it. *)
-
-exception Not_lvalue
-(** Raised when a syntactically non-lvalue expression is used where a
-    location is required. *)
+(** Abnormal termination carrying the outcome status; callers of
+    {!Vm.run} never see it. *)
 
 exception Type_error of string
 
@@ -43,8 +39,7 @@ val builtin :
   Pna_machine.Machine.t -> string -> Value.t list -> Value.t option option
 (** [builtin m name argv] dispatches on [(name, arity)]: [None] when the
     pair names no builtin, [Some result] otherwise (with [result = None]
-    for void builtins). Shared verbatim by both engines so every libc
-    model writes the same bytes under the same tags. *)
+    for void builtins). *)
 
 val is_builtin : string -> int -> bool
 (** Does [(name, arity)] name a builtin? In lockstep with {!builtin}; the
@@ -60,35 +55,3 @@ val load :
   ?heap_size:int -> config:Pna_defense.Config.t -> Ast.program -> Pna_machine.Machine.t
 (** Build the process image: register functions and libc symbols, emit
     vtables, allocate and initialize globals. *)
-
-val run :
-  ?max_steps:int ->
-  ?max_depth:int ->
-  ?on_stmt:(string -> Ast.stmt -> unit) ->
-  ?on_tick:(int -> unit) ->
-  Pna_machine.Machine.t ->
-  Ast.program ->
-  entry:string ->
-  Outcome.t
-(** Execute [entry] (usually ["main"]). Never raises: crashes, defense
-    stops, hijacks, timeouts and OOM all surface as the outcome status.
-    [max_steps] (default 2,000,000) bounds evaluated expressions +
-    statements; exceeding it is the DoS outcome. [on_stmt] is invoked
-    before every executed statement with the enclosing function's name —
-    the hook behind {!Pna.Coverage}. [on_tick] is invoked with the step
-    counter after every step — the chaos layer's spurious-fault hook;
-    exceptions it raises surface like interpreter faults. *)
-
-val execute :
-  ?heap_size:int ->
-  ?max_steps:int ->
-  ?max_depth:int ->
-  ?on_stmt:(string -> Ast.stmt -> unit) ->
-  ?on_tick:(int -> unit) ->
-  config:Pna_defense.Config.t ->
-  ?input_ints:int list ->
-  ?input_strings:string list ->
-  ?entry:string ->
-  Ast.program ->
-  Outcome.t
-(** [load] + set input + [run] in one call. *)

@@ -1,7 +1,6 @@
-(** The bytecode engine's front door: run a compiled unit ({!Compile.t})
-    over a process image with exactly {!Interp.run}'s contract — same
-    outcome classification, same step accounting, same events. Telemetry
-    spans carry [cat:"vm"] so traces show which engine executed. *)
+(** The execution engine's front door: run a compiled unit ({!Compile.t})
+    over a process image and classify how it ended. Telemetry spans carry
+    [cat:"vm"]. *)
 
 module Machine = Pna_machine.Machine
 module Event = Pna_machine.Event
@@ -56,6 +55,10 @@ let run ?(max_steps = 2_000_000) ?(max_depth = 256) ?on_stmt ?on_tick m
     steps = rt.Compile.steps;
   }
 
+(* Load + input + run in one call. Loading a hostile source file can
+   exhaust a segment (text/data/bss); classify that as an out-of-memory
+   (or otherwise blocked) outcome instead of letting an exception
+   escape. *)
 let execute ?heap_size ?max_steps ?max_depth ?on_stmt ?on_tick ~config
     ?(input_ints = []) ?(input_strings = []) ?(entry = "main") prog =
   match Interp.load ?heap_size ~config prog with

@@ -1,7 +1,8 @@
-(** Bytecode engine entry points: {!Interp.run}/{!Interp.execute}'s exact
-    contract, driven by compiled units instead of the AST. Outcomes, step
-    counts, events and taint are byte-identical to the interpreter (gated
-    by E19); telemetry spans carry [cat:"vm"]. *)
+(** The execution engine: compiled units ({!Compile}) run over a
+    {!Pna_machine.Machine} process image. Outcomes, step counts, events
+    and taint are pinned by E19 against the recorded observations of the
+    tree-walking evaluator the VM replaced; telemetry spans carry
+    [cat:"vm"]. *)
 
 val load : Ast.program -> Compile.t
 (** Fetch (or compile) the unit for a program, under a [cat:"vm"] "load"
@@ -16,8 +17,15 @@ val run :
   Compile.t ->
   entry:string ->
   Outcome.t
-(** Execute [entry] from a compiled unit. Never raises; defaults match
-    {!Interp.run} (2,000,000 steps, depth 256). *)
+(** Execute [entry] (usually ["main"]) from a compiled unit. Never
+    raises: crashes, defense stops, hijacks, timeouts and OOM all surface
+    as the outcome status. [max_steps] (default 2,000,000) bounds
+    evaluated expressions + statements; exceeding it is the DoS outcome.
+    [max_depth] (default 256) bounds the call depth. [on_stmt] is invoked
+    before every executed statement with the enclosing function's name —
+    the hook behind {!Pna.Coverage}. [on_tick] is invoked with the step
+    counter after every step — the chaos layer's spurious-fault hook;
+    exceptions it raises surface like execution faults. *)
 
 val execute :
   ?heap_size:int ->
@@ -31,5 +39,6 @@ val execute :
   ?entry:string ->
   Ast.program ->
   Outcome.t
-(** [Interp.load] + set input + compile + {!run} in one call, with the
-    same load-failure classification as {!Interp.execute}. *)
+(** {!Interp.load} + set input + compile + {!run} in one call. A load
+    that exhausts a segment is classified as a crash, out-of-memory or
+    defense outcome instead of escaping as an exception. *)

@@ -42,9 +42,9 @@ type req = {
   rq_chaos_seed : int option;  (** run supervised under this plan seed *)
   rq_max_steps : int option;  (** deadline in interpreter steps *)
   rq_sanitize : bool;
-  rq_engine : [ `Interp | `Bytecode ];
-      (** flags bit 16 on the wire; frames without it decode as
-          [`Interp], so pre-engine clients keep their old meaning *)
+  rq_engine : [ `Bytecode ];
+      (** compatibility field with one value; flags bit 16, which once
+          selected the engine, is never set and ignored on decode *)
   rq_trace : (int * int) option;
       (** (trace id, parent span id) — links the server's spans under
           the caller's trace; [None] encodes as a version-1 frame *)
@@ -200,8 +200,7 @@ let payload_of b = function
       (if r.rq_chaos_seed <> None then 1 else 0)
       lor (if r.rq_max_steps <> None then 2 else 0)
       lor (if r.rq_sanitize then 4 else 0)
-      lor (if r.rq_trace <> None then 8 else 0)
-      lor if r.rq_engine = `Bytecode then 16 else 0
+      lor if r.rq_trace <> None then 8 else 0
     in
     add_u8 b flags;
     Option.iter (add_u32 b) r.rq_chaos_seed;
@@ -267,7 +266,7 @@ let parse_payload kind c =
         rq_chaos_seed;
         rq_max_steps;
         rq_sanitize;
-        rq_engine = (if flags land 16 <> 0 then `Bytecode else `Interp);
+        rq_engine = `Bytecode;
         rq_trace;
       }
   | 2 ->

@@ -40,10 +40,10 @@ type req = {
   rq_chaos_seed : int option;  (** run supervised under this plan seed *)
   rq_max_steps : int option;  (** deadline in interpreter steps *)
   rq_sanitize : bool;
-  rq_engine : [ `Interp | `Bytecode ];
-      (** execution engine for the job (flags bit 16 on the wire);
-          frames without the bit decode as [`Interp], so pre-engine
-          clients are unchanged *)
+  rq_engine : [ `Bytecode ];
+      (** compatibility field with one value. Flags bit 16 once selected
+          the engine; encoders no longer set it and decoders ignore it,
+          so frames with or without it are served identically *)
   rq_trace : (int * int) option;
       (** (trace id, parent span id) — links the server's spans under
           the caller's trace; [None] encodes as a version-1 frame *)

@@ -78,9 +78,7 @@ let req_of_spec ?trace ~corr s =
     rq_chaos_seed = s.s_chaos_seed;
     rq_max_steps = s.s_max_steps;
     rq_sanitize = false;
-    (* the generated load runs on the process-default engine, so a
-       PNA_ENGINE=bytecode soak pushes the whole stream through the VM *)
-    rq_engine = Pna_attacks.Driver.env_engine;
+    rq_engine = `Bytecode;
     rq_trace = trace;
   }
 

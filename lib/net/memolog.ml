@@ -140,8 +140,7 @@ let entry_key (e : Service.memo_entry) =
     e.Service.me_config,
     e.Service.me_chaos_seed,
     e.Service.me_input_hash,
-    e.Service.me_sanitize,
-    e.Service.me_engine )
+    e.Service.me_sanitize )
 
 (* Offline compaction: drop duplicate keys, keeping the FIRST record per
    key — the in-memory cache is first-writer-wins, so the first record

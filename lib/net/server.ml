@@ -259,7 +259,7 @@ let serve t i =
         in
         let job =
           Service.job ?chaos_seed:rq.Frame.rq_chaos_seed ~max_steps
-            ~sanitize:rq.Frame.rq_sanitize ~engine:rq.Frame.rq_engine ~config
+            ~sanitize:rq.Frame.rq_sanitize ~config
             ?trace:(Option.map (fun (tid, sid, _) -> (tid, sid)) p_trace)
             attack
         in

@@ -39,20 +39,16 @@ type job = {
   j_sanitize : bool;
       (** attach the PNASan oracle; plain runs only — a chaos job ignores
           it (supervision rebuilds machines mid-run) *)
-  j_engine : Driver.engine;
-      (** which execution engine drives the run; part of every prepared
-          and memo key, so mixed-engine batches never share an entry *)
   j_trace : (int * int) option;
       (** (trace id, parent span) — worker-side spans link under the
           submitter's trace; never part of the memo key *)
 }
 
 let job ?chaos_seed ?max_steps ?(sanitize = Driver.env_sanitize)
-    ?(engine = Driver.env_engine) ?(config = Config.none) ?trace
+    ?engine:(_ : Driver.engine option) ?(config = Config.none) ?trace
     attack =
   { j_attack = attack; j_config = config; j_chaos_seed = chaos_seed;
-    j_max_steps = max_steps; j_sanitize = sanitize; j_engine = engine;
-    j_trace = trace }
+    j_max_steps = max_steps; j_sanitize = sanitize; j_trace = trace }
 
 type reply = {
   r_id : string;
@@ -241,22 +237,19 @@ let mk_shard () =
    eviction; hot scenarios stay prepared, a cold sweep degrades to
    load-per-job. *)
 type ctx = {
-  cx_prepared :
-    (string * string * bool * string, Driver.prepared * int) Hashtbl.t;
-      (** keyed by (scenario, config, sanitize, engine name): a bytecode
-          prepared scenario owns a compiled unit alongside its snapshot,
-          an interpreter one does not, so the two must never alias. The
-          value is the prepared scenario + the hash of its attacker
+  cx_prepared : (string * string * bool, Driver.prepared * int) Hashtbl.t;
+      (** keyed by (scenario, config, sanitize). The value is the
+          prepared scenario + the hash of its attacker
           input; the input against a freshly rewound image is a pure
           function of the prepared scenario, so it is hashed once at
           load time and memo hits cost two table lookups with no
           machine work *)
-  cx_order : (string * string * bool * string) Queue.t;
+  cx_order : (string * string * bool) Queue.t;
   cx_cap : int;
   cx_shard : shard;
 }
 
-type memo_key = string * string * int option * int * bool * string
+type memo_key = string * string * int option * int * bool
 
 (* The memo cache, sharded by key hash with one lock per shard so
    concurrent lookups from different workers almost never contend (the
@@ -402,21 +395,20 @@ type memo_entry = {
   me_input_hash : int;
   me_sanitize : bool;
   me_engine : string;
-      (** {!Driver.engine_name} spelling; older logs without the field
-          decode as ["interp"] *)
+      (** the engine that produced the record; not part of the key *)
   me_reply : reply;
 }
 
 type t = {
   pool : ctx Pool.t;
   shards : shard list Atomic.t;  (** one per worker, registered at spawn *)
-  images : (string * string * bool * string, Driver.image) Hashtbl.t;
+  images : (string * string * bool, Driver.image) Hashtbl.t;
       (** the shared frozen-image store, same key as [cx_prepared]. The
           first worker to miss on a key pays [Driver.prepare] and
           publishes the frozen image; every other domain thaws a local
           replica from it instead of re-running the loader. Entries are
           immutable and never evicted — one image per (scenario, config,
-          sanitize, engine) point, bounded by the catalogue. *)
+          sanitize) point, bounded by the catalogue. *)
   images_mutex : Mutex.t;  (** guards [images]; cold path only *)
   memo : memo option;  (** [None]: memoization off *)
   memo_sink : (memo_entry -> unit) option Atomic.t;
@@ -620,12 +612,7 @@ let shutdown t = Pool.shutdown t.pool
    Replicas never cross domains: the shared store holds only immutable
    images; every machine a worker touches was built on that worker. *)
 let prepared_for t ctx (j : job) =
-  let key =
-    ( j.j_attack.Catalog.id,
-      j.j_config.Config.name,
-      j.j_sanitize,
-      Driver.engine_name j.j_engine )
-  in
+  let key = (j.j_attack.Catalog.id, j.j_config.Config.name, j.j_sanitize) in
   match Hashtbl.find_opt ctx.cx_prepared key with
   | Some entry -> entry
   | None ->
@@ -643,8 +630,7 @@ let prepared_for t ctx (j : job) =
         p
       | None ->
         let p =
-          Driver.prepare ~config:j.j_config ~sanitize:j.j_sanitize
-            ~engine:j.j_engine j.j_attack
+          Driver.prepare ~config:j.j_config ~sanitize:j.j_sanitize j.j_attack
         in
         ctx.cx_shard.sh_loads <- ctx.cx_shard.sh_loads + 1;
         let im = Driver.freeze p in
@@ -738,8 +724,7 @@ let execute t ctx (j : job) =
       j.j_config.Config.name,
       j.j_chaos_seed,
       input_hash,
-      j.j_sanitize,
-      Driver.engine_name j.j_engine )
+      j.j_sanitize )
   in
   match memo_find t key with
   | Some cached ->
@@ -758,7 +743,6 @@ let execute t ctx (j : job) =
         let plan = Plan.generate ~seed () in
         let s =
           Driver.supervise ~config:j.j_config ?max_steps:j.j_max_steps
-            ~engine:j.j_engine
             ~reload:(fun () -> Driver.reset p)
             ~plan j.j_attack
         in
@@ -772,7 +756,7 @@ let execute t ctx (j : job) =
       match Atomic.get t.memo_sink with
       | None -> ()
       | Some sink ->
-        let id, config, chaos_seed, input_hash, sanitize, engine = key in
+        let id, config, chaos_seed, input_hash, sanitize = key in
         sink
           {
             me_attack = id;
@@ -780,7 +764,7 @@ let execute t ctx (j : job) =
             me_chaos_seed = chaos_seed;
             me_input_hash = input_hash;
             me_sanitize = sanitize;
-            me_engine = engine;
+            me_engine = Driver.engine_name Driver.env_engine;
             me_reply = reply;
           }
     end;
@@ -841,14 +825,16 @@ let set_memo_sink t sink = Atomic.set t.memo_sink sink
    keys win — the log is append-only, so the first record for a key is
    the authoritative one (matching [memo_store]'s first-writer-wins). The
    sink is deliberately not invoked: preloaded entries are already on
-   disk. *)
+   disk. The producing engine is not part of the key: a log written when
+   the tree-walking engine still existed holds the same verdicts (E19),
+   so its records warm the same entries. *)
 let preload_memo t entries =
   let loaded = ref 0 in
   List.iter
     (fun e ->
       let key =
         (e.me_attack, e.me_config, e.me_chaos_seed, e.me_input_hash,
-         e.me_sanitize, e.me_engine)
+         e.me_sanitize)
       in
       if memo_store t key { e.me_reply with r_cached = false } then
         incr loaded)

@@ -1,7 +1,7 @@
 (** The scenario-execution service: runs catalogue jobs on a {!Pool} of
     domain workers, rewinding prepared machine snapshots between requests
     and memoizing results by [(scenario, config, chaos seed, input hash,
-    sanitize, engine)].
+    sanitize)].
 
     Replies are derived purely from per-job state, so a batch at any
     worker count is verdict-identical to the sequential {!Driver.run}. *)
@@ -23,14 +23,6 @@ type job = {
           it (supervision rebuilds machines mid-run). Defaults to
           {!Driver.env_sanitize} so a [PNA_SANITIZE=1] process sanitizes
           pooled and sequential runs alike. *)
-  j_engine : Driver.engine;
-      (** which execution engine drives the run (default
-          {!Driver.env_engine}). Part of every prepared-cache and memo
-          key — the engines are observationally identical (the E19
-          gate), but the service never assumes the theorem it exists to
-          exercise, so mixed-engine batches keep separate entries. A
-          bytecode job's prepared scenario carries its compiled unit,
-          so rewound runs reuse the compilation. *)
   j_trace : (int * int) option;
       (** (trace id, parent span) — the worker retroactively records its
           queue wait as a span under this parent and runs the job with
@@ -47,6 +39,8 @@ val job :
   ?trace:int * int ->
   Catalog.t ->
   job
+(** [?engine] is a compatibility argument with one value
+    ({!Driver.engine}); it never changes the job. *)
 
 type reply = {
   r_id : string;
@@ -166,8 +160,10 @@ type memo_entry = {
   me_input_hash : int;
   me_sanitize : bool;
   me_engine : string;
-      (** {!Driver.engine_name} spelling; logs written before the engine
-          field decode as ["interp"] *)
+      (** the engine that produced the record: ["bytecode"] for new
+          entries, ["interp"] for records written by the former
+          tree-walking engine. Not part of the memo key — the first
+          record for a key wins whatever its engine. *)
   me_reply : reply;
 }
 

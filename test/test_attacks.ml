@@ -127,7 +127,7 @@ let test_l15_dos_step_blowup () =
   (* forced n grows -> steps grow linearly; benign run is small *)
   let steps n =
     let o =
-      Pna_minicpp.Interp.execute ~config:Config.none ~max_steps:10_000_000
+      Pna_minicpp.Vm.execute ~config:Config.none ~max_steps:10_000_000
         ~input_ints:[ n ] Pna_attacks.L15_stack_var.program_
     in
     o.O.steps
@@ -142,7 +142,7 @@ let test_l23_leak_is_linear () =
     let prog = Pna_attacks.L23_memleak.mk_program ~checked:false in
     let m = Pna_minicpp.Interp.load ~config:Config.none prog in
     Pna_machine.Machine.set_input ~ints:[ iters ] ~strings:[] m;
-    let _ = Pna_minicpp.Interp.run m prog ~entry:"main" in
+    let _ = Pna_minicpp.Vm.run m (Pna_minicpp.Vm.load prog) ~entry:"main" in
     Pna_machine.Machine.leaked_bytes m
   in
   Alcotest.(check int) "100 iters" 1600 (leaked 100);

@@ -2,7 +2,7 @@
 
 open Pna_minicpp.Dsl
 module Coverage = Pna.Coverage
-module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Config = Pna_defense.Config
 
 let prog_loops n =
@@ -24,7 +24,7 @@ let prog_loops n =
 
 let run_with_coverage prog =
   let cov, hook = Coverage.collector () in
-  let o = Interp.execute ~config:Config.none ~on_stmt:hook prog in
+  let o = Vm.execute ~config:Config.none ~on_stmt:hook prog in
   (cov, o)
 
 let test_counts_scale_with_loop () =
@@ -57,7 +57,7 @@ let test_kind_histogram () =
 let test_no_hook_no_cost () =
   (* same outcome whether or not the tracer is attached *)
   let _, o1 = run_with_coverage (prog_loops 7) in
-  let o2 = Interp.execute ~config:Config.none (prog_loops 7) in
+  let o2 = Vm.execute ~config:Config.none (prog_loops 7) in
   Alcotest.(check int) "same steps" o2.Pna_minicpp.Outcome.steps
     o1.Pna_minicpp.Outcome.steps
 
@@ -65,7 +65,7 @@ let test_no_hook_no_cost () =
 
 let run_bitmap prog =
   let bm, hook = Coverage.bitmap prog in
-  let o = Interp.execute ~config:Config.none ~on_stmt:hook prog in
+  let o = Vm.execute ~config:Config.none ~on_stmt:hook prog in
   (bm, o)
 
 let test_bitmap_counts () =

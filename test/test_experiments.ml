@@ -203,6 +203,23 @@ let test_workload_heap_churn () =
   | O.Exited 0 -> ()
   | st -> Alcotest.failf "heap churn failed: %a" O.pp_status st
 
+(* [pna all] exits on this fold: one failed verdict anywhere fails the
+   run, and a run that reached no verdict fails too. *)
+let test_all_ok_fold () =
+  let ok = [ ("E1", true); ("E13", true); ("E19", true) ] in
+  Alcotest.(check bool) "every verdict holds" true (E.all_ok ok);
+  Alcotest.(check bool) "one failed verdict fails the run" false
+    (E.all_ok (ok @ [ ("E5", false) ]));
+  Alcotest.(check bool) "no verdicts fail the run" false (E.all_ok []);
+  Alcotest.(check bool) "the failure is named" true
+    (let s = Fmt.str "%a" E.pp_verdicts [ ("E1", true); ("E5", false) ] in
+     let sub = "FAILED: E5" in
+     let n = String.length sub in
+     let rec go i =
+       i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+     in
+     go 0)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "experiments",
@@ -223,4 +240,5 @@ let suite =
       t "E13: traces complete, no drops" test_e13_telemetry;
       t "E15: fast path equivalent and faster" test_e15_fast_path;
       t "workload: heap churn" test_workload_heap_churn;
+      t "pna all fails on any failed verdict" test_all_ok_fold;
     ] )

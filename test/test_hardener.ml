@@ -16,6 +16,7 @@ module All = Pna_attacks.All
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 
 (* the attacks whose root cause is outside the placement discipline *)
 let out_of_scope = [ "L06-copyloop"; "L10-internal" ]
@@ -64,7 +65,7 @@ let test_benign_behaviour_preserved () =
   (* the benign pool server does equal-size placements: every guard passes
      and the workload's result is unchanged *)
   let h = H.harden Pna.Workloads.pool_server in
-  let o = Interp.execute ~config:Config.none ~input_ints:[ 50 ] h in
+  let o = Vm.execute ~config:Config.none ~input_ints:[ 50 ] h in
   match o.O.status with
   | O.Exited 50 -> ()
   | st -> Alcotest.failf "hardened workload diverged: %a" O.pp_status st
@@ -88,7 +89,7 @@ let test_fallback_on_too_small_arena () =
   in
   let h = H.harden prog in
   let m = Interp.load ~config:Config.none h in
-  let o = Interp.run m h ~entry:"main" in
+  let o = Vm.run m (Vm.load h) ~entry:"main" in
   (match o.O.status with
   | O.Exited 0 -> ()
   | st -> Alcotest.failf "hardened run failed: %a" O.pp_status st);
@@ -104,7 +105,7 @@ let test_placed_delete_rewritten () =
   let h = H.harden (Pna_attacks.L23_memleak.mk_program ~checked:false) in
   let m = Interp.load ~config:Config.none h in
   Pna_machine.Machine.set_input ~ints:[ 100 ] m;
-  let _ = Interp.run m h ~entry:"main" in
+  let _ = Vm.run m (Vm.load h) ~entry:"main" in
   Alcotest.(check int) "no leak after repair" 0
     (Pna_machine.Machine.leaked_bytes m)
 
@@ -135,7 +136,7 @@ let test_arena_size_intrinsic () =
       ]
   in
   let m = Interp.load ~config:Config.none prog in
-  let _ = Interp.run m prog ~entry:"main" in
+  let _ = Vm.run m (Vm.load prog) ~entry:"main" in
   Alcotest.(check int) "remaining bytes from offset" 54
     (Pna_vmem.Vmem.read_i32
        (Pna_machine.Machine.mem m)

@@ -3,6 +3,7 @@
 
 open Pna_minicpp.Dsl
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Outcome = Pna_minicpp.Outcome
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
@@ -14,7 +15,7 @@ let run_m ?(classes = []) ?(globals = []) ?(funcs = []) ?(ints = [])
   let prog = program ~classes ~globals (funcs @ [ func "main" body ]) in
   let m = Interp.load ~config:Config.none prog in
   Machine.set_input ~ints ~strings m;
-  (Interp.run m prog ~entry:"main", m)
+  (Vm.run m (Vm.load prog) ~entry:"main", m)
 
 let run ?classes ?globals ?funcs ?ints ?strings body =
   fst (run_m ?classes ?globals ?funcs ?ints ?strings body)
@@ -162,7 +163,7 @@ let test_exit_builtin () =
 let test_timeout () =
   let prog = program [ func "main" [ while_ (i 1) [] ] ] in
   let m = Interp.load ~config:Config.none prog in
-  let o = Interp.run ~max_steps:1000 m prog ~entry:"main" in
+  let o = Vm.run ~max_steps:1000 m (Vm.load prog) ~entry:"main" in
   match o.Outcome.status with
   | Outcome.Timeout _ -> ()
   | st -> Alcotest.failf "expected timeout, got %a" Outcome.pp_status st

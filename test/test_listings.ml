@@ -4,6 +4,7 @@
 
 module P = Pna_minicpp.Parser
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
@@ -27,7 +28,7 @@ let load_listing name =
 let run ?(config = Config.none) ?(ints = []) ?(strings = []) prog =
   let m = Interp.load ~config prog in
   Machine.set_input ~ints ~strings m;
-  (Interp.run m prog ~entry:"main", m)
+  (Vm.run m (Vm.load prog) ~entry:"main", m)
 
 let global_i32 m name =
   Vmem.read_i32 (Machine.mem m) (Machine.global_addr_exn m name)
@@ -54,14 +55,14 @@ let test_listing13 () =
   let m = Interp.load ~config:Config.stackguard prog in
   let sys = Machine.function_addr m "system" in
   Machine.set_input ~ints:[ 1; 2; sys ] m;
-  (match (Interp.run m prog ~entry:"main").O.status with
+  (match (Vm.run m (Vm.load prog) ~entry:"main").O.status with
   | O.Stack_smashing_detected -> ()
   | st -> Alcotest.failf "expected canary abort, got %a" O.pp_status st);
   (* selective overwrite: undetected hijack *)
   let m = Interp.load ~config:Config.stackguard prog in
   let sys = Machine.function_addr m "system" in
   Machine.set_input ~ints:[ -1; -1; sys ] m;
-  match (Interp.run m prog ~entry:"main").O.status with
+  match (Vm.run m (Vm.load prog) ~entry:"main").O.status with
   | O.Arc_injection { symbol = "system"; _ } -> ()
   | st -> Alcotest.failf "expected hijack, got %a" O.pp_status st
 
@@ -79,7 +80,7 @@ let test_listing17 () =
   check_flagged "listing17" prog;
   let m = Interp.load ~config:Config.none prog in
   Machine.set_input ~ints:[ Machine.function_addr m "grant_admin" ] m;
-  match (Interp.run m prog ~entry:"main").O.status with
+  match (Vm.run m (Vm.load prog) ~entry:"main").O.status with
   | O.Arc_injection { via = O.Function_pointer; symbol = "grant_admin"; _ } -> ()
   | st -> Alcotest.failf "expected fn-ptr hijack, got %a" O.pp_status st
 
@@ -91,7 +92,7 @@ let test_listing19 () =
   let word = String.init 4 (fun k -> Char.chr ((sys lsr (8 * k)) land 0xff)) in
   let payload = String.concat "" (List.init 20 (fun _ -> word)) in
   Machine.set_input ~ints:[ 5; 10 ] ~strings:[ payload ] m;
-  match (Interp.run m prog ~entry:"main").O.status with
+  match (Vm.run m (Vm.load prog) ~entry:"main").O.status with
   | O.Arc_injection { via = O.Return_address; symbol = "system"; _ } -> ()
   | st -> Alcotest.failf "expected two-step hijack, got %a" O.pp_status st
 
@@ -163,7 +164,7 @@ let test_listing18 () =
     ~ints:[ Machine.global_addr_exn m "authenticated" ]
     ~strings:[ "\001\001\001" ]
     m;
-  let o = Interp.run m prog ~entry:"main" in
+  let o = Vm.run m (Vm.load prog) ~entry:"main" in
   (match o.O.status with
   | O.Exited 0 -> ()
   | st -> Alcotest.failf "run failed: %a" O.pp_status st);

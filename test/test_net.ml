@@ -36,14 +36,13 @@ let gen_msg : Frame.msg QCheck.Gen.t =
        and* rq_chaos_seed = opt (int_bound 1000)
        and* rq_max_steps = opt (int_range 1 2_000_000)
        and* rq_sanitize = bool
-       and* rq_engine = oneofl [ `Interp; `Bytecode ]
        and* rq_trace =
          opt (pair (int_range 1 0x3fffffff) (int_range 1 0x3fffffff))
        in
        return
          (Frame.Request
             { rq_corr; rq_attack; rq_config; rq_chaos_seed; rq_max_steps;
-              rq_sanitize; rq_engine; rq_trace }));
+              rq_sanitize; rq_engine = `Bytecode; rq_trace }));
       (let* rp_corr = corr
        and* rp_id = str
        and* rp_config = str
@@ -183,7 +182,7 @@ let test_frame_versioning () =
         rq_chaos_seed = None;
         rq_max_steps = None;
         rq_sanitize = false;
-        rq_engine = `Interp;
+        rq_engine = `Bytecode;
         rq_trace = trace;
       }
   in
@@ -231,7 +230,7 @@ let test_frame_versioning () =
 (* ---- memo-entry codec + memo log ---- *)
 
 let mk_entry ?(attack = "overflow-vptr") ?(config = "none") ?(seed = None)
-    ?(hash = 0x1234) ?(engine = "interp") () =
+    ?(hash = 0x1234) ?(engine = "bytecode") () =
   {
     Service.me_attack = attack;
     me_config = config;
@@ -364,7 +363,7 @@ let mk_req ?(corr = 1) ?(attack = attack_id) ?(config = "none")
     rq_chaos_seed = None;
     rq_max_steps = Some max_steps;
     rq_sanitize = false;
-    rq_engine = Pna_attacks.Driver.env_engine;
+    rq_engine = `Bytecode;
     rq_trace = trace;
   }
 
@@ -501,6 +500,106 @@ let test_server_memo_log_recovery () =
             rep.Frame.rp_cached
         | _ -> Alcotest.fail "request after recovery failed");
         Client.close c)
+
+(* ---- frames and logs from the two-engine protocol ---- *)
+
+(* Flags bit 16 once asked for the bytecode engine instead of the
+   tree-walker. Set it on an encoded request and re-seal the CRC. *)
+let with_engine_bit frame =
+  let b = Bytes.of_string frame in
+  let str_len off = Bytes.get_uint16_le b off in
+  let config_off = Frame.header_len + 4 + 2 + str_len (Frame.header_len + 4) in
+  let flags_off = config_off + 2 + str_len config_off in
+  Bytes.set_uint8 b flags_off (Bytes.get_uint8 b flags_off lor 16);
+  let s = Bytes.to_string b in
+  let crc =
+    Pna_net.Crc32.string
+      ~crc:(Pna_net.Crc32.string ~len:12 s)
+      ~off:Frame.header_len s
+  in
+  Bytes.set_int32_le b 12 (Int32.of_int crc);
+  Bytes.to_string b
+
+(* One raw frame in, one decoded frame out, over a fresh connection. *)
+let raw_exchange ~port frame =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let n = Unix.write_substring fd frame 0 (String.length frame) in
+  Alcotest.(check int) "frame sent whole" (String.length frame) n;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec read () =
+    match Frame.decode (Buffer.contents buf) with
+    | Frame.Msg (m, _) -> m
+    | Frame.Fail e -> Alcotest.failf "reply: %a" Frame.pp_error e
+    | Frame.Need _ ->
+      let k = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if k = 0 then Alcotest.fail "server closed the connection";
+      Buffer.add_subbytes buf chunk 0 k;
+      read ()
+  in
+  read ()
+
+let test_engine_bit_served_alike () =
+  with_server @@ fun server ->
+  let plain = Frame.encode (Frame.Request (mk_req ())) in
+  let flagged = with_engine_bit plain in
+  Alcotest.(check bool) "the bit is on the wire" true (plain <> flagged);
+  (match (Frame.decode plain, Frame.decode flagged) with
+  | Frame.Msg (a, _), Frame.Msg (b, _) ->
+    Alcotest.(check bool) "both decode to the same request" true (a = b)
+  | _ -> Alcotest.fail "a request frame failed to decode");
+  let reply frame =
+    match raw_exchange ~port:(Server.port server) frame with
+    | Frame.Reply_ok r -> r
+    | _ -> Alcotest.fail "expected a served reply"
+  in
+  let first = reply flagged in
+  let second = reply plain in
+  Alcotest.(check bool) "the flagged request executed" false
+    first.Frame.rp_cached;
+  Alcotest.(check bool) "the unflagged request hits its memo entry" true
+    second.Frame.rp_cached;
+  Alcotest.(check bool) "same reply" true
+    ({ first with Frame.rp_cached = true } = second)
+
+(* A log written while two engines existed may hold an interpreter
+   record and a bytecode record for one key: they warm one entry, the
+   first record wins and the second counts as a duplicate. *)
+let test_memo_log_engines_share_a_key () =
+  with_tmp @@ fun path ->
+  let a = List.hd All.attacks in
+  let input_hash =
+    Hashtbl.hash (Driver.prepared_input (Driver.prepare ~sanitize:false a))
+  in
+  let entry engine detail =
+    let e = mk_entry ~attack:a.Catalog.id ~hash:input_hash ~engine () in
+    { e with
+      Service.me_reply = { e.Service.me_reply with Service.r_detail = detail } }
+  in
+  let o = Memolog.open_log path in
+  List.iter (Memolog.append o.Memolog.log)
+    [ entry "interp" "interp record"; entry "bytecode" "bytecode record" ];
+  Memolog.close o.Memolog.log;
+  with_server ~config:{ Server.default_config with memo_log = Some path }
+  @@ fun server ->
+  Alcotest.(check int) "one entry recovered" 1 (Server.recovered server);
+  Alcotest.(check int) "one duplicate" 1 (Server.dup_entries server);
+  match
+    Client.connect ~timeout_s:20. ~host:"127.0.0.1" ~port:(Server.port server)
+      ()
+  with
+  | Error f -> Alcotest.failf "connect: %s" (Client.failure_label f)
+  | Ok c ->
+    (match Client.request c (mk_req ()) with
+    | Ok (Client.Served rep) ->
+      Alcotest.(check bool) "served from the recovered entry" true
+        rep.Frame.rp_cached;
+      Alcotest.(check string) "the first record won" "interp record"
+        rep.Frame.rp_detail
+    | _ -> Alcotest.fail "request after recovery failed");
+    Client.close c
 
 let test_client_retry_classification () =
   (* a port with nothing behind it: connect-refused is Retryable, and
@@ -644,6 +743,10 @@ let suite =
         test_server_rejects_malformed;
       Alcotest.test_case "memo-log recovery across restarts" `Quick
         test_server_memo_log_recovery;
+      Alcotest.test_case "frames with or without engine bit 16 share a memo entry"
+        `Quick test_engine_bit_served_alike;
+      Alcotest.test_case "interp and bytecode log records preload one entry"
+        `Quick test_memo_log_engines_share_a_key;
       Alcotest.test_case "client retry classification" `Quick
         test_client_retry_classification;
       Alcotest.test_case "mini chaos soak" `Quick test_mini_chaos_soak;

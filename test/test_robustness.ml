@@ -5,7 +5,7 @@
 open Pna_minicpp.Dsl
 module P = Pna_minicpp.Parser
 module L = Pna_minicpp.Lexer
-module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
 
@@ -43,7 +43,7 @@ let test_lexer_positions () =
 (* runtime type errors surface as crashes, not exceptions *)
 let crashes body =
   let prog = program ~globals:[ global "g" int ] [ func "main" body ] in
-  match (Interp.execute ~config:Config.none prog).O.status with
+  match (Vm.execute ~config:Config.none prog).O.status with
   | O.Crashed _ -> ()
   | st ->
     Alcotest.failf "expected a crash, got %a" O.pp_status st
@@ -60,7 +60,7 @@ let test_wild_pointer_reads_fault () =
 
 let test_entry_point_missing () =
   let prog = program [ func "not_main" [] ] in
-  match (Interp.execute ~config:Config.none prog).O.status with
+  match (Vm.execute ~config:Config.none prog).O.status with
   | O.Crashed _ -> ()
   | st -> Alcotest.failf "expected crash, got %a" O.pp_status st
 
@@ -87,7 +87,7 @@ let test_hostile_datagrams_never_raise () =
     let payload =
       String.init len (fun _ -> Char.chr (Random.State.int rng 256))
     in
-    ignore (Interp.execute ~config:Config.none ~input_strings:[ payload ] prog)
+    ignore (Vm.execute ~config:Config.none ~input_strings:[ payload ] prog)
   done
 
 let test_fuzzed_source_never_raises_unexpectedly () =
@@ -143,7 +143,7 @@ let test_rodata_exhaustion_is_oom () =
   in
   let strings = List.init 80 (fun _ -> String.make 1200 'a') in
   let o =
-    Interp.execute ~config:Config.none ~max_steps:10_000_000
+    Vm.execute ~config:Config.none ~max_steps:10_000_000
       ~input_strings:strings prog
   in
   match o.O.status with
@@ -151,7 +151,7 @@ let test_rodata_exhaustion_is_oom () =
   | st -> Alcotest.failf "expected OOM, got %a" O.pp_status st
 
 (* loader-time [failwith] ("data segment full", "text full") used to
-   escape Interp.execute as a raw exception; now segment exhaustion is
+   escape execution as a raw exception; now segment exhaustion is
    the same classified out-of-memory outcome the rodata path produces *)
 let test_oversized_global_is_classified () =
   let prog =
@@ -159,7 +159,7 @@ let test_oversized_global_is_classified () =
       ~globals:[ global "g" (char_arr 200_000) ]
       [ func "main" [ ret (i 0) ] ]
   in
-  match (Interp.execute ~config:Config.none prog).O.status with
+  match (Vm.execute ~config:Config.none prog).O.status with
   | O.Out_of_memory -> ()
   | st -> Alcotest.failf "expected OOM, got %a" O.pp_status st
 
@@ -169,14 +169,14 @@ let test_text_exhaustion_is_classified () =
       (List.init 3_000 (fun k -> func (Fmt.str "f%d" k) [ ret (i 0) ])
       @ [ func "main" [ ret (i 0) ] ])
   in
-  match (Interp.execute ~config:Config.none prog).O.status with
+  match (Vm.execute ~config:Config.none prog).O.status with
   | O.Out_of_memory -> ()
   | st -> Alcotest.failf "expected OOM, got %a" O.pp_status st
 
 let test_interp_budget_is_respected () =
   let prog = program [ func "main" [ while_ (i 1) [] ] ] in
   let o =
-    Interp.execute ~config:Config.none ~max_steps:500 prog
+    Vm.execute ~config:Config.none ~max_steps:500 prog
   in
   Alcotest.(check bool) "stopped within budget + 1" true (o.O.steps <= 501)
 

@@ -4,6 +4,7 @@ open Pna_minicpp.Dsl
 module Wire = Pna_serial.Wire
 module Victim = Pna_serial.Victim
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
@@ -64,7 +65,7 @@ let run_service ~checked payload =
   let prog = service_program ~checked in
   let m = Interp.load ~config:Config.none prog in
   Machine.set_input ~strings:[ payload ] m;
-  (Interp.run m prog ~entry:"main", m)
+  (Vm.run m (Vm.load prog) ~entry:"main", m)
 
 let test_benign_student_deserializes () =
   let o, m =

@@ -8,6 +8,7 @@ module CP = Pna_minicpp.Cpp_print
 module P = Pna_minicpp.Parser
 module L = Pna_minicpp.Lexer
 module Interp = Pna_minicpp.Interp
+module Vm = Pna_minicpp.Vm
 module Machine = Pna_machine.Machine
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
@@ -148,7 +149,7 @@ let test_parse_listing13_and_exploit () =
   let m = Interp.load ~config:Config.stackguard prog in
   let sys = Machine.function_addr m "system" in
   Machine.set_input ~ints:[ -1; -1; sys ] m;
-  let o = Interp.run m prog ~entry:"main" in
+  let o = Vm.run m (Vm.load prog) ~entry:"main" in
   match o.O.status with
   | O.Arc_injection { symbol = "system"; _ } -> ()
   | st -> Alcotest.failf "expected hijack, got %a" O.pp_status st
@@ -180,7 +181,7 @@ let behaviour_cases =
             let m = Interp.load ~config:Config.none prog in
             let ints, strings = a.C.mk_input m in
             Machine.set_input ~ints ~strings m;
-            Interp.run m prog ~entry:a.C.entry
+            Vm.run m (Vm.load prog) ~entry:a.C.entry
           in
           let o1 = run a.C.program and o2 = run reparsed in
           Alcotest.(check string) "same status"

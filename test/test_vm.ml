@@ -1,124 +1,86 @@
-(** The bytecode engine: QCheck equivalence between the compiled VM and
-    the tree-walking interpreter over generated genomes — plain,
-    sanitized, under chaos fault plans and under tight step deadlines —
-    plus the serving layer's engine-keyed memo cache. The exhaustive
-    catalogue x config x accounting sweep is the E19 [vmgate]; these are
-    the properties CI re-checks on every run. *)
+(** The bytecode engine against the recorded tree-walker: the E19
+    fixture's plain catalogue rows and its fixed seeded genome sets —
+    plain and sanitized, under a tight step deadline and under chaos
+    fault plans — re-run on the VM, plus the fixture's own integrity: a
+    missing, extra or unparsable row fails the gate. The sanitized
+    catalogue rows and the seeded 1000-genome stream are checked by the
+    E19 [vmgate]. *)
 
-module R = Pna_rand.Rand
-module Genome = Pna_gen.Genome
-module Build = Pna_gen.Build
-module Catalog = Pna_attacks.Catalog
-module Driver = Pna_attacks.Driver
-module All = Pna_attacks.All
-module Config = Pna_defense.Config
-module Outcome = Pna_minicpp.Outcome
-module Plan = Pna_chaos.Plan
-module Service = Pna_service.Service
+module VmGate = Pna_gen.Vmgate
 
-(* A genome is a pure function of its generator seed, so shrinking over
-   the seed shrinks over scenarios. *)
-let genome_arb =
-  QCheck.make ~print:Genome.summary
-    QCheck.Gen.(
-      map (fun seed -> Genome.generate (R.create seed)) (int_bound 1_000_000))
+let prefix p key = String.starts_with ~prefix:p key
 
-(* Everything observable about a run: the full outcome (status, step
-   count, event stream, program output), the verdict and the shadow
-   map's violation list. *)
-let fingerprint (r : Driver.result) =
-  (r.Driver.outcome, r.Driver.verdict, r.Driver.violations)
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
-let prop_engines_agree =
-  QCheck.Test.make ~count:300
-    ~name:"vm: engines agree on outcome, events and shadow verdict"
-    genome_arb
-    (fun g ->
-      let a = Build.scenario g in
-      let run engine sanitize =
-        fingerprint (Driver.run ~max_steps:60_000 ~sanitize ~engine a)
-      in
-      run `Interp false = run `Bytecode false
-      && run `Interp true = run `Bytecode true)
+let check select () =
+  let v = VmGate.run ~select () in
+  if not v.VmGate.v_ok then Alcotest.failf "%a" VmGate.pp v;
+  Alcotest.(check bool) "rows were checked" true (v.VmGate.v_checked > 0)
 
-let prop_engines_agree_under_deadline =
-  QCheck.Test.make ~count:60
-    ~name:"vm: a tight max_steps deadline trips at the same step"
-    genome_arb
-    (fun g ->
-      let a = Build.scenario g in
-      let run engine =
-        fingerprint (Driver.run ~max_steps:200 ~sanitize:true ~engine a)
-      in
-      run `Interp = run `Bytecode)
+(* The fixture's deadline rows, and every other line. *)
+let split_deadline () =
+  List.partition (prefix "deadline:")
+    (String.split_on_char '\n' Pna_gen.Vmgate_fixture.text)
 
-(* sv_plan carries the consumed plan value; everything else must match
-   attempt for attempt, backoff for backoff. *)
-let sup_fingerprint (s : Driver.supervised) =
-  ( s.Driver.sv_attempts,
-    s.Driver.sv_final_attempt,
-    s.Driver.sv_backoff_ms,
-    s.Driver.sv_fired,
-    s.Driver.sv_outcome,
-    s.Driver.sv_verdict )
+let gate_on lines =
+  VmGate.run ~fixture:(String.concat "\n" lines) ~select:(prefix "deadline:")
+    ()
 
-let prop_engines_agree_under_chaos =
-  QCheck.Test.make ~count:60
-    ~name:"vm: chaos-supervised runs agree attempt for attempt"
-    QCheck.(pair genome_arb (int_bound 10_000))
-    (fun (g, seed) ->
-      let a = Build.scenario g in
-      let run engine =
-        sup_fingerprint
-          (Driver.supervise ~max_steps:60_000
-             ~plan:(Plan.generate ~seed ())
-             ~engine a)
-      in
-      run `Interp = run `Bytecode)
+let test_removed_row_fails () =
+  match split_deadline () with
+  | (removed :: kept_rows), rest ->
+    let v = gate_on (rest @ kept_rows) in
+    let key = List.hd (String.split_on_char ' ' removed) in
+    Alcotest.(check bool) "gate fails" false v.VmGate.v_ok;
+    Alcotest.(check (list string)) "the removed row is missing" [ key ]
+      v.VmGate.v_missing
+  | [], _ -> Alcotest.fail "fixture has no deadline rows"
 
-(* The static catalogue, plain: quick smoke that the paper's own
-   scenarios ride the VM identically (vmgate does the full matrix). *)
-let test_catalogue_engines_agree () =
-  List.iter
-    (fun (a : Catalog.t) ->
-      let run engine = fingerprint (Driver.run ~max_steps:200_000 ~engine a) in
-      Alcotest.(check bool)
-        (a.Catalog.id ^ ": engines agree")
-        true
-        (run `Interp = run `Bytecode))
-    All.attacks
+let test_extra_row_fails () =
+  match split_deadline () with
+  | (row :: _ as rows), rest ->
+    let extra = "deadline:gen-00000000" ^ String.sub row (String.index row ' ')
+        (String.length row - String.index row ' ') in
+    let v = gate_on (rest @ rows @ [ extra ]) in
+    Alcotest.(check bool) "gate fails" false v.VmGate.v_ok;
+    Alcotest.(check (list string)) "the extra row is reported"
+      [ "deadline:gen-00000000" ] v.VmGate.v_extra
+  | [], _ -> Alcotest.fail "fixture has no deadline rows"
 
-(* The memo key includes the engine (the PR 4 sanitize-key lesson): an
-   interpreted verdict must never be served to a bytecode job or vice
-   versa, even though the verdicts agree — the cache is keyed on what
-   ran, not on what it happened to return. *)
-let test_memo_keys_on_engine () =
-  let svc = Service.create ~jobs:1 () in
-  let a = Pna_attacks.L13_stack_ret.attack in
-  let ji = Service.job ~config:Config.none ~engine:`Interp a in
-  let jb = Service.job ~config:Config.none ~engine:`Bytecode a in
-  let i1 = Service.exec svc ji in
-  let i2 = Service.exec svc ji in
-  let b1 = Service.exec svc jb in
-  let b2 = Service.exec svc jb in
-  Service.shutdown svc;
-  Alcotest.(check bool) "repeated interp job hits the memo" true
-    i2.Service.r_cached;
-  Alcotest.(check bool) "bytecode job must not hit the interp entry" false
-    b1.Service.r_cached;
-  Alcotest.(check bool) "repeated bytecode job hits its own entry" true
-    b2.Service.r_cached;
-  Alcotest.(check bool) "both engines served the same verdict" true
-    ({ i1 with Service.r_cached = false }
-    = { b1 with Service.r_cached = false })
+let test_unparsable_fixture_fails () =
+  let rows, rest = split_deadline () in
+  let truncated =
+    match rows with
+    | r :: tl -> String.sub r 0 (String.length r / 2) :: tl
+    | [] -> []
+  in
+  let v = gate_on (rest @ truncated) in
+  Alcotest.(check bool) "truncated row fails" false v.VmGate.v_ok;
+  Alcotest.(check bool) "reported as a fixture error" true
+    (v.VmGate.v_error <> None);
+  let headerless =
+    List.filter (fun l -> not (String.starts_with ~prefix:"# format" l)) rest
+  in
+  let v = gate_on (headerless @ rows) in
+  Alcotest.(check bool) "missing format version fails" false v.VmGate.v_ok
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "vm",
     [
-      t "catalogue: engines agree plain" test_catalogue_engines_agree;
-      t "memo cache is engine-keyed" test_memo_keys_on_engine;
-      QCheck_alcotest.to_alcotest prop_engines_agree;
-      QCheck_alcotest.to_alcotest prop_engines_agree_under_deadline;
-      QCheck_alcotest.to_alcotest prop_engines_agree_under_chaos;
+      t "catalogue: engines agree plain"
+        (check (fun k -> prefix "cat:" k && contains ":plain:" k));
+      t "vm: engines agree on outcome, events and shadow verdict"
+        (check (prefix "set:"));
+      t "vm: a tight max_steps deadline trips at the same step"
+        (check (prefix "deadline:"));
+      t "vm: chaos-supervised runs agree attempt for attempt"
+        (check (prefix "chaos:"));
+      t "fixture: a removed row fails the gate" test_removed_row_fails;
+      t "fixture: an extra row fails the gate" test_extra_row_fails;
+      t "fixture: an unparsable fixture fails the gate"
+        test_unparsable_fixture_fails;
     ] )
