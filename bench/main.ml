@@ -287,7 +287,8 @@ let ablation_group =
 
 (* E12: the scenario service — batch throughput at each domain count and
    the amortisation ladder a request descends: fresh image load, snapshot
-   rewind of a prepared machine, memo-cache hit *)
+   rewind of a prepared machine, memo-cache hit (on a locally prepared
+   key, and on one evicted from the worker's prepared cache) *)
 module Service = Pna_service.Service
 
 (* batch_32 is kept for continuity, but 32 jobs finish in ~10ms — too
@@ -338,6 +339,21 @@ let service_group =
           let j = Service.job ~config:Config.none Pna.Experiments.benign_pool in
           let (_ : Service.reply) = Service.exec svc j in
           fun () -> ignore (Service.exec svc j)));
+      (* a memo hit on a key that has left the worker's one-entry
+         prepared cache: alternate two warm keys, so every hit finds the
+         other key's machine local *)
+      Test.make ~name:"service/memo_hit_evicted" (stage (
+          let svc = Service.create ~jobs:1 ~prepared_cap:1 () in
+          let js =
+            Array.map
+              (fun a -> Service.job ~config:Config.none a)
+              [| Pna.Experiments.benign_pool; Pna_attacks.L13_stack_ret.attack |]
+          in
+          Array.iter (fun j -> ignore (Service.exec svc j)) js;
+          let i = ref 0 in
+          fun () ->
+            incr i;
+            ignore (Service.exec svc js.(!i land 1))));
     ]
 
 (* sanitizer: what the PNASan oracle costs — the prepared driver path

@@ -1048,10 +1048,11 @@ let serve_tcp_cmd =
       | Some p ->
         Fmt.str
           ", memo log %s: %d entries recovered, %d torn bytes dropped, %d \
-           duplicate(s) a compaction would drop"
+           duplicate(s) a compaction would drop, %d record(s) without a \
+           stable digest skipped"
           p
           (Server.recovered server) (Server.torn_bytes server)
-          (Server.dup_entries server));
+          (Server.dup_entries server) (Server.skipped_entries server));
     let stop = ref false in
     let handler = Sys.Signal_handle (fun _ -> stop := true) in
     Sys.set_signal Sys.sigint handler;
@@ -1232,15 +1233,16 @@ let compact_cmd =
   let run path =
     match Memolog.compact path with
     | kept, dropped ->
-      Fmt.pr "%s: kept %d record(s), dropped %d duplicate(s)@." path kept
-        dropped
+      Fmt.pr
+        "%s: kept %d record(s), dropped %d duplicate or pre-digest record(s)@."
+        path kept dropped
     | exception Sys_error m | exception Failure m ->
       Fmt.epr "compact: %s@." m;
       exit 1
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Offline-compact a memo log: drop duplicate records, keeping the              first per key (what the in-memory cache would have served),              atomically via write-aside and rename.")
+       ~doc:"Offline-compact a memo log: drop duplicate records, keeping the              first per key (what the in-memory cache would have served), and              records without a stable request digest (never served),              atomically via write-aside and rename.")
     Term.(const run $ path_t)
 
 let netgate_cmd =

@@ -346,7 +346,7 @@ type supervised = {
   sv_verdict : Catalog.verdict;
 }
 
-let default_budget = 2_000_000
+let default_budget = Vm.default_max_steps
 
 (* Fleet-level retry accounting lands in the process-wide registry —
    supervision has no per-instance owner the way the service does. *)

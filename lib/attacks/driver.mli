@@ -111,7 +111,11 @@ val restores : prepared -> int
 
 val prepared_input : prepared -> int list * string list
 (** The attacker input computed against the (rewound) prepared image —
-    what a memoizing cache hashes. *)
+    what a memoizing cache digests. *)
+
+val default_budget : int
+(** The step budget of a run or supervised attempt given no
+    [max_steps] ({!Pna_minicpp.Vm.default_max_steps}). *)
 
 (** {1 Frozen images: one prepared snapshot, many domain replicas}
 

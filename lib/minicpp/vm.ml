@@ -11,7 +11,9 @@ let load prog =
   Pna_telemetry.Trace.with_span ~cat:"vm" "load" @@ fun () ->
   Compile.cached prog
 
-let run ?(max_steps = 2_000_000) ?(max_depth = 256) ?on_stmt ?on_tick m
+let default_max_steps = 2_000_000
+
+let run ?(max_steps = default_max_steps) ?(max_depth = 256) ?on_stmt ?on_tick m
     (u : Compile.t) ~entry =
   let rt = Compile.make_rt ~max_steps ~max_depth ?on_stmt ?on_tick m u in
   Pna_telemetry.Trace.with_span ~cat:"vm"

@@ -8,6 +8,9 @@ val load : Ast.program -> Compile.t
 (** Fetch (or compile) the unit for a program, under a [cat:"vm"] "load"
     span. Units are cached by physical program identity. *)
 
+val default_max_steps : int
+(** The step budget of a run given no [max_steps]: 2,000,000. *)
+
 val run :
   ?max_steps:int ->
   ?max_depth:int ->
@@ -19,7 +22,7 @@ val run :
   Outcome.t
 (** Execute [entry] (usually ["main"]) from a compiled unit. Never
     raises: crashes, defense stops, hijacks, timeouts and OOM all surface
-    as the outcome status. [max_steps] (default 2,000,000) bounds
+    as the outcome status. [max_steps] (default {!default_max_steps}) bounds
     evaluated expressions + statements; exceeding it is the DoS outcome.
     [max_depth] (default 256) bounds the call depth. [on_stmt] is invoked
     before every executed statement with the enclosing function's name —

@@ -6,22 +6,23 @@
 
 let poly = 0xedb88320
 
+(* Built at module initialisation, not lazily: server loop domains and
+   clients digest their first frames concurrently, and forcing one lazy
+   value from two domains at once raises [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 (** [string ?crc ?off ?len s] — digest of the byte range, continuing from
     [crc] (default 0, a fresh digest). *)
 let string ?(crc = 0) ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
-  let t = Lazy.force table in
   let c = ref (crc lxor 0xffffffff) in
   for i = off to off + len - 1 do
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)
+    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff

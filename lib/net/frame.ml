@@ -414,7 +414,13 @@ let reply_of_rep (r : rep) : Service.reply =
 (* -- memo-log entry codec -------------------------------------------- *)
 
 (* The on-disk memo record payload shares the frame primitives: the log
-   layer wraps these bytes in its own (length, crc) envelope. *)
+   layer wraps these bytes in its own (length, crc) envelope. Flag bit 32
+   marks a record whose input hash is the stable request digest
+   (attacker input + deadline, {!Service.request_digest}); every record
+   written now carries it. Records from before it hold a process-local
+   [Hashtbl.hash] that no current key can match. *)
+let stable_digest_bit = 32
+
 let encode_memo_entry (e : Service.memo_entry) =
   let b = Buffer.create 96 in
   add_str b e.Service.me_attack;
@@ -425,7 +431,8 @@ let encode_memo_entry (e : Service.memo_entry) =
     lor (if e.Service.me_sanitize then 2 else 0)
     lor (if r.Service.r_success then 4 else 0)
     lor (if r.Service.r_cached then 8 else 0)
-    lor if e.Service.me_engine = "bytecode" then 16 else 0
+    lor (if e.Service.me_engine = "bytecode" then 16 else 0)
+    lor stable_digest_bit
   in
   add_u8 b flags;
   Option.iter (add_u32 b) e.Service.me_chaos_seed;
@@ -436,7 +443,7 @@ let encode_memo_entry (e : Service.memo_entry) =
   add_u16 b r.Service.r_violations;
   Buffer.contents b
 
-let decode_memo_entry s : (Service.memo_entry, string) result =
+let decode_memo_entry s : (Service.memo_entry * bool, string) result =
   let c = { c_buf = s; c_end = String.length s; c_pos = 0 } in
   match
     let me_attack = get_str c "attack id" in
@@ -450,28 +457,31 @@ let decode_memo_entry s : (Service.memo_entry, string) result =
     let r_detail = get_str c "detail" in
     let r_attempts = get_u16 c "attempts" in
     let r_violations = get_u16 c "violations" in
-    {
-      Service.me_attack;
-      me_config;
-      me_chaos_seed;
-      me_input_hash;
-      me_sanitize = flags land 2 <> 0;
-      (* pre-engine logs have the bit clear and decode as interpreter
-         entries — exactly what produced them *)
-      me_engine = (if flags land 16 <> 0 then "bytecode" else "interp");
-      me_reply =
-        {
-          Service.r_id = me_attack;
-          r_config = me_config;
-          r_chaos_seed = me_chaos_seed;
-          r_status;
-          r_success = flags land 4 <> 0;
-          r_detail;
-          r_attempts;
-          r_cached = flags land 8 <> 0;
-          r_violations;
-        };
-    }
+    let entry =
+      {
+        Service.me_attack;
+        me_config;
+        me_chaos_seed;
+        me_input_hash;
+        me_sanitize = flags land 2 <> 0;
+        (* pre-engine logs have the bit clear and decode as interpreter
+           entries — exactly what produced them *)
+        me_engine = (if flags land 16 <> 0 then "bytecode" else "interp");
+        me_reply =
+          {
+            Service.r_id = me_attack;
+            r_config = me_config;
+            r_chaos_seed = me_chaos_seed;
+            r_status;
+            r_success = flags land 4 <> 0;
+            r_detail;
+            r_attempts;
+            r_cached = flags land 8 <> 0;
+            r_violations;
+          };
+      }
+    in
+    (entry, flags land stable_digest_bit <> 0)
   with
   | e ->
     if c.c_pos <> c.c_end then Error "trailing bytes after memo entry"

@@ -116,4 +116,9 @@ val reply_of_rep : rep -> Pna_service.Service.reply
     {!Memolog} wraps in its per-record (length, crc) envelope. *)
 
 val encode_memo_entry : Pna_service.Service.memo_entry -> string
-val decode_memo_entry : string -> (Pna_service.Service.memo_entry, string) result
+val decode_memo_entry :
+  string -> (Pna_service.Service.memo_entry * bool, string) result
+(** The entry, and whether its input hash is a stable
+    {!Pna_service.Service.request_digest} (record flag bit 32, set by
+    every {!encode_memo_entry}). A record without it predates the
+    digest and can never match a current memo key. *)

@@ -15,7 +15,13 @@
     torn tail is dropped, never served, and the next append lands on a
     clean boundary. A mid-file flipped bit (disk corruption rather than
     a torn write) costs everything from that record on: acceptable for a
-    cache, where a lost entry is a recomputation, not an error. *)
+    cache, where a lost entry is a recomputation, not an error.
+
+    A whole, valid record whose input hash predates the stable request
+    digest (no flag bit 32, see {!Frame.decode_memo_entry}) can never
+    match a current key: it is skipped and counted, not served and not
+    a reason to truncate. The magic stays ["PNAMEMO1"] — an unrecognized
+    magic would restart the file empty. *)
 
 module Service = Pna_service.Service
 
@@ -30,7 +36,9 @@ type t = {
 
 type opened = {
   log : t;
-  entries : Service.memo_entry list;  (** valid records, file order *)
+  entries : Service.memo_entry list;
+      (** valid records with a stable digest, file order *)
+  skipped : int;  (** valid records without one, not preloaded *)
   torn_bytes : int;  (** bytes truncated off the tail (0 = clean) *)
 }
 
@@ -44,10 +52,11 @@ let rd32 s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-(* Read the longest valid prefix: (entries, valid_length). *)
+(* Read the longest valid prefix: (entries, skipped, valid_length,
+   had_magic). *)
 let scan path =
   match open_in_bin path with
-  | exception Sys_error _ -> ([], 0, false)
+  | exception Sys_error _ -> ([], 0, 0, false)
   | ic ->
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
     let file_len = in_channel_length ic in
@@ -55,9 +64,9 @@ let scan path =
     (match really_input ic header 0 (Bytes.length header) with
     | () -> ()
     | exception End_of_file -> ());
-    if Bytes.to_string header <> file_magic then ([], 0, false)
+    if Bytes.to_string header <> file_magic then ([], 0, 0, false)
     else begin
-      let entries = ref [] in
+      let entries = ref [] and skipped = ref 0 in
       let valid = ref (String.length file_magic) in
       let stop = ref false in
       while not !stop do
@@ -79,16 +88,16 @@ let scan path =
               else
                 (match Frame.decode_memo_entry payload with
                 | Error _ -> stop := true
-                | Ok e ->
-                  entries := e :: !entries;
+                | Ok (e, stable) ->
+                  if stable then entries := e :: !entries else incr skipped;
                   valid := !valid + 8 + len)
           end
       done;
-      (List.rev !entries, !valid, true)
+      (List.rev !entries, !skipped, !valid, true)
     end
 
 let open_log path =
-  let entries, valid, had_magic = scan path in
+  let entries, skipped, valid, had_magic = scan path in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let torn_bytes =
     if had_magic then begin
@@ -107,8 +116,8 @@ let open_log path =
     end
   in
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  ({ fd; mutex = Mutex.create (); closed = false }, entries, torn_bytes)
-  |> fun (log, entries, torn_bytes) -> { log; entries; torn_bytes }
+  let log = { fd; mutex = Mutex.create (); closed = false } in
+  { log; entries; skipped; torn_bytes }
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -144,11 +153,12 @@ let entry_key (e : Service.memo_entry) =
 
 (* Offline compaction: drop duplicate keys, keeping the FIRST record per
    key — the in-memory cache is first-writer-wins, so the first record
-   is the one that was ever served. The compacted log is written beside
+   is the one that was ever served — and drop records without a stable
+   digest, which no key can reach. The compacted log is written beside
    the original and renamed over it, so a crash mid-compaction leaves
    either the old or the new file, both valid. *)
 let compact path =
-  let entries, _, _ = scan path in
+  let entries, skipped, _, _ = scan path in
   let seen = Hashtbl.create 256 in
   let kept =
     List.filter
@@ -172,4 +182,4 @@ let compact path =
     kept;
   Unix.close fd;
   Unix.rename tmp path;
-  (List.length kept, List.length entries - List.length kept)
+  (List.length kept, List.length entries - List.length kept + skipped)

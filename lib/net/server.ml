@@ -126,6 +126,7 @@ type t = {
   recovered : int;  (** memo entries preloaded from the log *)
   torn_bytes : int;
   dup_entries : int;  (** log entries dropped as duplicates at preload *)
+  skipped_entries : int;  (** log records without a stable digest *)
   mutable loop_domains : unit Domain.t list;
 }
 
@@ -134,6 +135,7 @@ let registry t = t.reg
 let recovered t = t.recovered
 let torn_bytes t = t.torn_bytes
 let dup_entries t = t.dup_entries
+let skipped_entries t = t.skipped_entries
 
 (* a full pipe already guarantees a wakeup; a closed one means the
    loop is gone — both are fine to ignore *)
@@ -583,9 +585,9 @@ let start ?(config = default_config) svc =
         Unix.set_nonblock pipe_w;
         (pipe_r, pipe_w))
   in
-  let log, recovered, torn_bytes, dup_entries =
+  let log, recovered, torn_bytes, dup_entries, skipped_entries =
     match config.memo_log with
-    | None -> (None, 0, 0, 0)
+    | None -> (None, 0, 0, 0, 0)
     | Some path ->
       let o = Memolog.open_log path in
       let loaded = Service.preload_memo svc o.Memolog.entries in
@@ -593,19 +595,23 @@ let start ?(config = default_config) svc =
       ( Some o.Memolog.log,
         loaded,
         o.Memolog.torn_bytes,
-        List.length o.Memolog.entries - loaded )
+        List.length o.Memolog.entries - loaded,
+        o.Memolog.skipped )
   in
   let reg = Metrics.create () in
   (* Memo-recovery facts as gauges, so a scrape sees what the startup
      log line said: entries recovered, bytes truncated at the torn
-     tail, and duplicates a compaction would save. *)
+     tail, duplicates a compaction would save, and records skipped for
+     lack of a stable digest. *)
   if config.memo_log <> None then begin
     Metrics.set (Metrics.gauge reg "pna_net_memo_recovered_entries")
       (float_of_int recovered);
     Metrics.set (Metrics.gauge reg "pna_net_memo_torn_bytes")
       (float_of_int torn_bytes);
     Metrics.set (Metrics.gauge reg "pna_net_memo_dup_entries")
-      (float_of_int dup_entries)
+      (float_of_int dup_entries);
+    Metrics.set (Metrics.gauge reg "pna_net_memo_skipped_entries")
+      (float_of_int skipped_entries)
   end;
   let t =
     {
@@ -634,6 +640,7 @@ let start ?(config = default_config) svc =
       recovered;
       torn_bytes;
       dup_entries;
+      skipped_entries;
       loop_domains = [];
     }
   in

@@ -57,7 +57,7 @@ val registry : t -> Pna_telemetry.Metrics.registry
     [pna_net_queued_replies] (frames waiting in output queues), and —
     when a memo log is configured — the recovery facts
     [pna_net_memo_recovered_entries], [pna_net_memo_torn_bytes],
-    [pna_net_memo_dup_entries]. *)
+    [pna_net_memo_dup_entries], [pna_net_memo_skipped_entries]. *)
 
 val recovered : t -> int
 (** Memo entries preloaded from the log at startup. *)
@@ -68,6 +68,10 @@ val torn_bytes : t -> int
 val dup_entries : t -> int
 (** Log entries dropped as duplicates at preload — what a compaction
     pass would save. *)
+
+val skipped_entries : t -> int
+(** Log records skipped at preload because they carry no stable request
+    digest (written before it existed); a compaction drops them too. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight work and output

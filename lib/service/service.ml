@@ -11,7 +11,10 @@
       machine plus its post-load {!Pna_machine.Machine.snapshot} — and
       rewinds instead of reloading between requests;
     - a memoizing result cache keyed by [(scenario, config, chaos seed,
-      input hash)] serves repeated requests without executing at all.
+      request digest, sanitize)] serves repeated requests without
+      executing at all — and without building a machine: the request
+      digest covers the attacker input and the effective deadline, and
+      the input's digest is published beside each frozen image.
 
     Replies are derived purely from per-job state, so a batch at any
     worker count is verdict-identical to the sequential driver. *)
@@ -231,25 +234,60 @@ let mk_shard () =
     sh_execute = mk_lhist ();
   }
 
+type image_key = string * string * bool  (** (scenario, config, sanitize) *)
+
 (* Per-worker context: the prepared-scenario cache plus this worker's
    metrics shard. Machines are a couple of megabytes each (contents +
    taint, twice: live + snapshot), so the cache is bounded with FIFO
    eviction; hot scenarios stay prepared, a cold sweep degrades to
    load-per-job. *)
 type ctx = {
-  cx_prepared : (string * string * bool, Driver.prepared * int) Hashtbl.t;
-      (** keyed by (scenario, config, sanitize). The value is the
-          prepared scenario + the hash of its attacker
-          input; the input against a freshly rewound image is a pure
-          function of the prepared scenario, so it is hashed once at
-          load time and memo hits cost two table lookups with no
-          machine work *)
-  cx_order : (string * string * bool) Queue.t;
+  cx_prepared : (image_key, Driver.prepared * int) Hashtbl.t;
+      (** the prepared scenario + the {!input_digest} of its attacker
+          input, copied from the image store entry it was built for *)
+  cx_order : image_key Queue.t;
   cx_cap : int;
   cx_shard : shard;
 }
 
+(* (scenario, config, chaos seed, request digest, sanitize) *)
 type memo_key = string * string * int option * int * bool
+
+(* The first 63 bits of an MD5 digest: stable across processes and
+   builds (unlike [Hashtbl.hash], which is also shallow), so the value
+   can be persisted in the memo log. *)
+let digest63 s = Int64.to_int (String.get_int64_le (Digest.string s) 0)
+
+(* The attacker input against a freshly rewound image is a pure function
+   of the frozen snapshot, so it is digested once, when the image is
+   built, over a canonical printed form of every value. *)
+let input_digest (ints, strings) =
+  let b = Buffer.create 64 in
+  List.iter
+    (fun i ->
+      Buffer.add_string b (string_of_int i);
+      Buffer.add_char b ',')
+    ints;
+  Buffer.add_char b ';';
+  List.iter
+    (fun s ->
+      Buffer.add_string b (string_of_int (String.length s));
+      Buffer.add_char b ':';
+      Buffer.add_string b s)
+    strings;
+  digest63 (Buffer.contents b)
+
+(* The memo key's input component: the input digest and the deadline the
+   run actually gets. A reply depends on both — a request that timed out
+   under a tight deadline says nothing about a generous one. [None] is
+   the driver's default budget, so it shares an entry with [Some] of it.
+   Computed on every lookup, so over 16 fixed bytes, not a printed form. *)
+let request_digest ~input ~max_steps =
+  let b = Bytes.create 16 in
+  Bytes.set_int64_le b 0 (Int64.of_int input);
+  Bytes.set_int64_le b 8
+    (Int64.of_int (Option.value max_steps ~default:Driver.default_budget));
+  digest63 (Bytes.unsafe_to_string b)
 
 (* The memo cache, sharded by key hash with one lock per shard so
    concurrent lookups from different workers almost never contend (the
@@ -399,17 +437,24 @@ type memo_entry = {
   me_reply : reply;
 }
 
+(* A slot of the shared image store: claimed by the one worker building
+   it, then the frozen image beside its {!input_digest}. *)
+type image_slot = Building | Built of Driver.image * int
+
 type t = {
   pool : ctx Pool.t;
   shards : shard list Atomic.t;  (** one per worker, registered at spawn *)
-  images : (string * string * bool, Driver.image) Hashtbl.t;
+  images : (image_key, image_slot) Hashtbl.t;
       (** the shared frozen-image store, same key as [cx_prepared]. The
-          first worker to miss on a key pays [Driver.prepare] and
-          publishes the frozen image; every other domain thaws a local
-          replica from it instead of re-running the loader. Entries are
-          immutable and never evicted — one image per (scenario, config,
-          sanitize) point, bounded by the catalogue. *)
-  images_mutex : Mutex.t;  (** guards [images]; cold path only *)
+          first worker to miss on a key claims the slot, pays
+          [Driver.prepare] and publishes the image with its input digest;
+          every other domain reads the digest from here to look up the
+          memo, and thaws a local replica only when it must execute.
+          Built entries are immutable and never evicted — one image per
+          (scenario, config, sanitize) point, bounded by the catalogue. *)
+  images_mutex : Mutex.t;  (** guards [images]; local misses only *)
+  images_built : Condition.t;
+      (** broadcast when a [Building] slot is published or released *)
   memo : memo option;  (** [None]: memoization off *)
   memo_sink : (memo_entry -> unit) option Atomic.t;
       (** mirrors fresh memo entries; runs on the worker that computed
@@ -451,6 +496,7 @@ let create ?(jobs = Domain.recommended_domain_count ()) ?queue_cap
     shards;
     images = Hashtbl.create 64;
     images_mutex = Mutex.create ();
+    images_built = Condition.create ();
     memo = (if memo then Some (mk_memo ~cap:memo_cap) else None);
     memo_sink = Atomic.make None;
     ins = mk_instruments ();
@@ -597,49 +643,102 @@ let shutdown t = Pool.shutdown t.pool
 
 (* --- worker-side execution --- *)
 
-(* The worker's prepared scenario for a job, three tiers deep:
+(* How a job is answered, cheapest tier first:
+
+   0. the memo — looked up before any machine work. Its key needs the
+      attacker input's digest, which is published beside each frozen
+      image: read it from the worker's own [cx_prepared] entry (no
+      lock), else from the service-wide image store (one lock). A hit
+      returns without a restore, a thaw or a load. Only while no image
+      has been built for the key is the digest unknown; the job then goes
+      down the tiers below and consults the memo once it has one, so a
+      log-preloaded entry still answers the first request after a
+      restart.
+
+   On a miss the job needs a machine, and [prepared_for] finds one:
 
    1. the worker's own [cx_prepared] — domain-local, no synchronization,
       the hot path for every repeat of a warm key;
-   2. the service-wide frozen-image store — on a local miss, thaw a
-      domain-local replica from the shared image (a snapshot restore,
-      ~three orders of magnitude cheaper than the loader) rather than
-      re-deriving it;
-   3. [Driver.prepare] — the one true cold path. The resulting image is
-      frozen and published first-writer-wins, so concurrent cold misses
-      on the same key waste at most one duplicate load each.
+   2. the frozen-image store — thaw a domain-local replica from the
+      shared image (a snapshot restore, ~three orders of magnitude
+      cheaper than the loader) rather than re-deriving it;
+   3. [Driver.prepare] — the one true cold path. The worker claims the
+      key's slot first, so a concurrent cold miss on the same key waits
+      for this build and thaws it instead of loading a duplicate; the
+      input digest is taken from the fresh machine and published with
+      the frozen image. Each image is loaded once, and every load or
+      thaw serves a job that then executes — unless a preloaded memo
+      entry answers the job that built the first image.
 
    Replicas never cross domains: the shared store holds only immutable
    images; every machine a worker touches was built on that worker. *)
-let prepared_for t ctx (j : job) =
-  let key = (j.j_attack.Catalog.id, j.j_config.Config.name, j.j_sanitize) in
+let image_key (j : job) : image_key =
+  (j.j_attack.Catalog.id, j.j_config.Config.name, j.j_sanitize)
+
+let published_digest t key =
+  Mutex.lock t.images_mutex;
+  let d =
+    match Hashtbl.find_opt t.images key with
+    | Some (Built (_, digest)) -> Some digest
+    | Some Building | None -> None
+  in
+  Mutex.unlock t.images_mutex;
+  d
+
+(* The built image for [key], waiting out another worker's build; or
+   [None] once the slot is claimed for the caller to build. *)
+let claim_or_wait t key =
+  Mutex.lock t.images_mutex;
+  let rec go () =
+    match Hashtbl.find_opt t.images key with
+    | Some (Built (im, digest)) -> Some (im, digest)
+    | Some Building ->
+      Condition.wait t.images_built t.images_mutex;
+      go ()
+    | None ->
+      Hashtbl.replace t.images key Building;
+      None
+  in
+  let r = go () in
+  Mutex.unlock t.images_mutex;
+  r
+
+let settle t key slot =
+  Mutex.lock t.images_mutex;
+  (match slot with
+  | Some built -> Hashtbl.replace t.images key built
+  | None -> Hashtbl.remove t.images key);
+  Condition.broadcast t.images_built;
+  Mutex.unlock t.images_mutex
+
+let build t ctx key (j : job) =
+  match
+    let p =
+      Driver.prepare ~config:j.j_config ~sanitize:j.j_sanitize j.j_attack
+    in
+    let digest = input_digest (Driver.prepared_input p) in
+    (p, digest, Driver.freeze p)
+  with
+  | p, digest, im ->
+    ctx.cx_shard.sh_loads <- ctx.cx_shard.sh_loads + 1;
+    settle t key (Some (Built (im, digest)));
+    (p, digest)
+  | exception e ->
+    (* release the claim, so waiters retry rather than hang *)
+    settle t key None;
+    raise e
+
+let prepared_for t ctx key (j : job) =
   match Hashtbl.find_opt ctx.cx_prepared key with
   | Some entry -> entry
   | None ->
-    let shared =
-      Mutex.lock t.images_mutex;
-      let im = Hashtbl.find_opt t.images key in
-      Mutex.unlock t.images_mutex;
-      im
-    in
-    let p =
-      match shared with
-      | Some im ->
-        let p = Driver.thaw im in
+    let entry =
+      match claim_or_wait t key with
+      | Some (im, digest) ->
         ctx.cx_shard.sh_replicas <- ctx.cx_shard.sh_replicas + 1;
-        p
-      | None ->
-        let p =
-          Driver.prepare ~config:j.j_config ~sanitize:j.j_sanitize j.j_attack
-        in
-        ctx.cx_shard.sh_loads <- ctx.cx_shard.sh_loads + 1;
-        let im = Driver.freeze p in
-        Mutex.lock t.images_mutex;
-        if not (Hashtbl.mem t.images key) then Hashtbl.add t.images key im;
-        Mutex.unlock t.images_mutex;
-        p
+        (Driver.thaw im, digest)
+      | None -> build t ctx key j
     in
-    let entry = (p, Hashtbl.hash (Driver.prepared_input p)) in
     if Hashtbl.length ctx.cx_prepared >= ctx.cx_cap then begin
       match Queue.take_opt ctx.cx_order with
       | Some oldest -> Hashtbl.remove ctx.cx_prepared oldest
@@ -706,6 +805,67 @@ let account ctx reply ~restores ~memo_hit =
     (1 + Option.value ~default:0 (Hashtbl.find_opt sh.sh_outcomes k));
   Mutex.unlock sh.sh_mutex
 
+(* The input digest of a key's image, if one has been published —
+   without touching a machine. Memo off: nothing to look up. *)
+let known_digest t ctx key =
+  if t.memo = None then None
+  else
+    match Hashtbl.find_opt ctx.cx_prepared key with
+    | Some (_, digest) -> Some digest
+    | None -> published_digest t key
+
+let memo_key (j : job) digest : memo_key =
+  ( j.j_attack.Catalog.id,
+    j.j_config.Config.name,
+    j.j_chaos_seed,
+    request_digest ~input:digest ~max_steps:j.j_max_steps,
+    j.j_sanitize )
+
+let serve_hit ctx cached =
+  let reply = { cached with r_cached = true } in
+  Trace.add_args [ ("memo", Trace.Bool true) ];
+  account ctx reply ~restores:0 ~memo_hit:true;
+  reply
+
+let run_miss t ctx (j : job) p key =
+  let restores_before = Driver.restores p in
+  let t0 = Clock.now_ns () in
+  let reply =
+    match j.j_chaos_seed with
+    | None -> reply_of_result (Driver.run_prepared ?max_steps:j.j_max_steps p)
+    | Some seed ->
+      let plan = Plan.generate ~seed () in
+      let s =
+        Driver.supervise ~config:j.j_config ?max_steps:j.j_max_steps
+          ~reload:(fun () -> Driver.reset p)
+          ~plan j.j_attack
+      in
+      reply_of_supervised ~chaos_seed:seed s
+  in
+  lh_observe ctx.cx_shard.sh_execute
+    (Clock.elapsed_us ~a:t0 ~b:(Clock.now_ns ()));
+  Trace.add_args
+    [ ("memo", Trace.Bool false); ("status", Trace.Str reply.r_status) ];
+  if memo_store t key reply then begin
+    match Atomic.get t.memo_sink with
+    | None -> ()
+    | Some sink ->
+      let id, config, chaos_seed, input_hash, sanitize = key in
+      sink
+        {
+          me_attack = id;
+          me_config = config;
+          me_chaos_seed = chaos_seed;
+          me_input_hash = input_hash;
+          me_sanitize = sanitize;
+          me_engine = Driver.engine_name Driver.env_engine;
+          me_reply = reply;
+        }
+  end;
+  account ctx reply ~restores:(Driver.restores p - restores_before)
+    ~memo_hit:false;
+  reply
+
 let execute t ctx (j : job) =
   Trace.with_span ~cat:"service" "job"
     ~args:
@@ -714,63 +874,17 @@ let execute t ctx (j : job) =
         ("config", Trace.Str j.j_config.Config.name);
       ]
   @@ fun () ->
-  let p, input_hash = prepared_for t ctx j in
-  let restores_before = Driver.restores p in
-  (* the memo key includes the attacker-input hash computed against the
-     prepared image — same scenario, same config, same input: same
-     verdict *)
-  let key =
-    ( j.j_attack.Catalog.id,
-      j.j_config.Config.name,
-      j.j_chaos_seed,
-      input_hash,
-      j.j_sanitize )
-  in
-  match memo_find t key with
-  | Some cached ->
-    let reply = { cached with r_cached = true } in
-    Trace.add_args [ ("memo", Trace.Bool true) ];
-    account ctx reply ~restores:(Driver.restores p - restores_before)
-      ~memo_hit:true;
-    reply
-  | None ->
-    let t0 = Clock.now_ns () in
-    let reply =
-      match j.j_chaos_seed with
-      | None ->
-        reply_of_result (Driver.run_prepared ?max_steps:j.j_max_steps p)
-      | Some seed ->
-        let plan = Plan.generate ~seed () in
-        let s =
-          Driver.supervise ~config:j.j_config ?max_steps:j.j_max_steps
-            ~reload:(fun () -> Driver.reset p)
-            ~plan j.j_attack
-        in
-        reply_of_supervised ~chaos_seed:seed s
-    in
-    lh_observe ctx.cx_shard.sh_execute
-      (Clock.elapsed_us ~a:t0 ~b:(Clock.now_ns ()));
-    Trace.add_args
-      [ ("memo", Trace.Bool false); ("status", Trace.Str reply.r_status) ];
-    if memo_store t key reply then begin
-      match Atomic.get t.memo_sink with
-      | None -> ()
-      | Some sink ->
-        let id, config, chaos_seed, input_hash, sanitize = key in
-        sink
-          {
-            me_attack = id;
-            me_config = config;
-            me_chaos_seed = chaos_seed;
-            me_input_hash = input_hash;
-            me_sanitize = sanitize;
-            me_engine = Driver.engine_name Driver.env_engine;
-            me_reply = reply;
-          }
-    end;
-    account ctx reply ~restores:(Driver.restores p - restores_before)
-      ~memo_hit:false;
-    reply
+  let ikey = image_key j in
+  let early = Option.map (memo_key j) (known_digest t ctx ikey) in
+  match Option.bind early (memo_find t) with
+  | Some cached -> serve_hit ctx cached
+  | None -> (
+    let p, digest = prepared_for t ctx ikey j in
+    let key = memo_key j digest in
+    (* no image had been built: a preloaded entry may still answer *)
+    match if early = None then memo_find t key else None with
+    | Some cached -> serve_hit ctx cached
+    | None -> run_miss t ctx j p key)
 
 (* --- client API --- *)
 

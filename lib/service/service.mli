@@ -1,7 +1,8 @@
 (** The scenario-execution service: runs catalogue jobs on a {!Pool} of
     domain workers, rewinding prepared machine snapshots between requests
-    and memoizing results by [(scenario, config, chaos seed, input hash,
-    sanitize)].
+    and memoizing results by [(scenario, config, chaos seed, request
+    digest, sanitize)]. The memo is consulted before any machine is
+    acquired, so a hit restores, thaws and loads nothing.
 
     Replies are derived purely from per-job state, so a batch at any
     worker count is verdict-identical to the sequential {!Driver.run}. *)
@@ -153,11 +154,23 @@ val exec : t -> job -> reply
     through the sink as they are computed, and a recovered log streams
     back in through {!preload_memo} at startup. *)
 
+val input_digest : int list * string list -> int
+(** Stable 63-bit digest (MD5 over a canonical printed form) of an
+    attacker input, e.g. {!Driver.prepared_input}. Computed once per
+    image and published beside it. *)
+
+val request_digest : input:int -> max_steps:int option -> int
+(** The memo key's input component: a stable digest of an
+    {!input_digest} and the effective deadline. [max_steps = None] is
+    {!Driver.default_budget}, so it shares an entry with
+    [Some Driver.default_budget]. *)
+
 type memo_entry = {
   me_attack : string;
   me_config : string;
   me_chaos_seed : int option;
   me_input_hash : int;
+      (** the key's {!request_digest}: attacker input and deadline *)
   me_sanitize : bool;
   me_engine : string;
       (** the engine that produced the record: ["bytecode"] for new

@@ -255,8 +255,21 @@ let mk_entry ?(attack = "overflow-vptr") ?(config = "none") ?(seed = None)
 let test_memo_entry_roundtrip () =
   let e = mk_entry ~seed:(Some 7) ~hash:(-42) () in
   match Frame.decode_memo_entry (Frame.encode_memo_entry e) with
-  | Ok e' -> Alcotest.(check bool) "round-trip" true (e = e')
+  | Ok (e', stable) ->
+    Alcotest.(check bool) "round-trip" true (e = e');
+    Alcotest.(check bool) "marked as a stable digest" true stable
   | Error m -> Alcotest.failf "decode_memo_entry: %s" m
+
+(* A record as written before the stable request digest existed: the
+   same bytes with flag bit 32 clear. The flags byte follows the two
+   length-prefixed strings. *)
+let legacy_record (e : Service.memo_entry) =
+  let b = Bytes.of_string (Frame.encode_memo_entry e) in
+  let off =
+    2 + String.length e.Service.me_attack + 2 + String.length e.Service.me_config
+  in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) land lnot 32));
+  Bytes.to_string b
 
 let with_tmp f =
   let path = Filename.temp_file "pna_memolog" ".log" in
@@ -564,15 +577,22 @@ let test_engine_bit_served_alike () =
   Alcotest.(check bool) "same reply" true
     ({ first with Frame.rp_cached = true } = second)
 
+(* The memo key's input component for [mk_req ()]: the request digest
+   of the attacker input under the request's 60 000-step deadline. *)
+let mk_req_input_hash (a : Catalog.t) =
+  Service.request_digest
+    ~input:
+      (Service.input_digest
+         (Driver.prepared_input (Driver.prepare ~sanitize:false a)))
+    ~max_steps:(Some 60_000)
+
 (* A log written while two engines existed may hold an interpreter
    record and a bytecode record for one key: they warm one entry, the
    first record wins and the second counts as a duplicate. *)
 let test_memo_log_engines_share_a_key () =
   with_tmp @@ fun path ->
   let a = List.hd All.attacks in
-  let input_hash =
-    Hashtbl.hash (Driver.prepared_input (Driver.prepare ~sanitize:false a))
-  in
+  let input_hash = mk_req_input_hash a in
   let entry engine detail =
     let e = mk_entry ~attack:a.Catalog.id ~hash:input_hash ~engine () in
     { e with
@@ -600,6 +620,51 @@ let test_memo_log_engines_share_a_key () =
         rep.Frame.rp_detail
     | _ -> Alcotest.fail "request after recovery failed");
     Client.close c
+
+(* A record without a stable digest is skipped at preload and counted,
+   not served, not a reason to truncate; the records around it still
+   load, and compaction drops it. *)
+let test_memo_log_skips_legacy_records () =
+  with_tmp @@ fun path ->
+  let a = List.hd All.attacks in
+  let legacy =
+    let e = mk_entry ~attack:a.Catalog.id ~hash:(mk_req_input_hash a) () in
+    { e with
+      Service.me_reply =
+        { e.Service.me_reply with Service.r_detail = "legacy record" } }
+  in
+  let o = Memolog.open_log path in
+  Memolog.append o.Memolog.log (mk_entry ~attack:"other" ~hash:5 ());
+  Memolog.close o.Memolog.log;
+  let le32 v = String.init 4 (fun k -> Char.chr ((v lsr (8 * k)) land 0xff)) in
+  let payload = legacy_record legacy in
+  append_raw path
+    (le32 (String.length payload) ^ le32 (Pna_net.Crc32.string payload) ^ payload);
+  let size = (Unix.stat path).Unix.st_size in
+  let o2 = Memolog.open_log path in
+  Memolog.close o2.Memolog.log;
+  Alcotest.(check int) "stable record recovered" 1
+    (List.length o2.Memolog.entries);
+  Alcotest.(check int) "legacy record skipped" 1 o2.Memolog.skipped;
+  Alcotest.(check int) "nothing truncated" size (Unix.stat path).Unix.st_size;
+  (with_server ~config:{ Server.default_config with memo_log = Some path }
+   @@ fun server ->
+   Alcotest.(check int) "one entry recovered" 1 (Server.recovered server);
+   Alcotest.(check int) "one record skipped" 1 (Server.skipped_entries server);
+   match
+     Client.connect ~timeout_s:20. ~host:"127.0.0.1"
+       ~port:(Server.port server) ()
+   with
+   | Error f -> Alcotest.failf "connect: %s" (Client.failure_label f)
+   | Ok c ->
+     (match Client.request c (mk_req ()) with
+     | Ok (Client.Served rep) ->
+       Alcotest.(check bool) "the legacy record is not served" false
+         rep.Frame.rp_cached
+     | _ -> Alcotest.fail "request failed");
+     Client.close c);
+  Alcotest.(check (pair int int)) "compaction drops it" (2, 1)
+    (Memolog.compact path)
 
 let test_client_retry_classification () =
   (* a port with nothing behind it: connect-refused is Retryable, and
@@ -747,6 +812,8 @@ let suite =
         `Quick test_engine_bit_served_alike;
       Alcotest.test_case "interp and bytecode log records preload one entry"
         `Quick test_memo_log_engines_share_a_key;
+      Alcotest.test_case "memo log: records without a stable digest skipped"
+        `Quick test_memo_log_skips_legacy_records;
       Alcotest.test_case "client retry classification" `Quick
         test_client_retry_classification;
       Alcotest.test_case "mini chaos soak" `Quick test_mini_chaos_soak;

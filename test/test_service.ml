@@ -488,6 +488,168 @@ let test_replica_store_bounds_loads () =
   Alcotest.(check int) "every job executed (memo off)" 64 st.Service.st_jobs
 
 (* ------------------------------------------------------------------ *)
+(* Memo soundness and the memo-first hit path                          *)
+
+(* What a fresh, service-free run of the same request replies. *)
+let fresh_reply (j : Service.job) =
+  let config = j.Service.j_config and max_steps = j.Service.j_max_steps in
+  match j.Service.j_chaos_seed with
+  | None ->
+    Service.reply_of_result
+      (Driver.run ~config ?max_steps ~sanitize:j.Service.j_sanitize
+         j.Service.j_attack)
+  | Some seed ->
+    Service.reply_of_supervised ~chaos_seed:seed
+      (Driver.supervise ~config ?max_steps ~plan:(Plan.generate ~seed ())
+         j.Service.j_attack)
+
+let served_fingerprint (r : Service.reply) =
+  (reply_fingerprint r, r.Service.r_violations)
+
+(* The memo key covers the deadline: a timeout cached under a 10-step
+   deadline is not served to a 200 000-step request for the same attack
+   (which finishes), nor the other way round. *)
+let test_memo_key_covers_deadline () =
+  let a = Pna_attacks.L13_stack_ret.attack in
+  let job max_steps =
+    Service.job ~max_steps ~sanitize:false ~config:Config.none a
+  in
+  let tight = job 10 and generous = job 200_000 in
+  let expect_tight = fresh_reply tight and expect_generous = fresh_reply generous in
+  Alcotest.(check bool) "the two deadlines disagree when run fresh" true
+    (reply_fingerprint expect_tight <> reply_fingerprint expect_generous);
+  let svc = Service.create ~jobs:1 () in
+  let replies = List.map (Service.exec svc) [ tight; generous; tight; generous ] in
+  Service.shutdown svc;
+  List.iteri
+    (fun i (r, expect) ->
+      Alcotest.(check (pair string string))
+        (Fmt.str "reply %d equals a fresh Driver.run" i)
+        (expect.Service.r_status, expect.Service.r_detail)
+        (r.Service.r_status, r.Service.r_detail))
+    (List.combine replies [ expect_tight; expect_generous; expect_tight; expect_generous ]);
+  Alcotest.(check (list bool)) "repeats are memo hits"
+    [ false; false; true; true ]
+    (List.map (fun (r : Service.reply) -> r.Service.r_cached) replies)
+
+(* [None] is the driver's default budget, so it shares an entry with
+   [Some Driver.default_budget]; another deadline does not. *)
+let test_request_digest_deadline () =
+  let input = Service.input_digest ([ 1; 2 ], [ "ab" ]) in
+  let d = Service.request_digest ~input in
+  Alcotest.(check int) "None = Some default budget"
+    (d ~max_steps:None) (d ~max_steps:(Some Driver.default_budget));
+  Alcotest.(check bool) "another deadline, another key" true
+    (d ~max_steps:None <> d ~max_steps:(Some 60_000));
+  (* every value of the input is digested, in order *)
+  Alcotest.(check bool) "input order matters" true
+    (input <> Service.input_digest ([ 2; 1 ], [ "ab" ]));
+  Alcotest.(check bool) "string boundaries matter" true
+    (Service.input_digest ([], [ "a"; "b" ])
+    <> Service.input_digest ([], [ "ab" ]))
+
+(* A memo hit on a key that has left the worker's prepared cache is
+   served from the digest published with the image: no replica is
+   thawed, nothing is loaded or rewound. *)
+let test_memo_hit_without_replica () =
+  let svc = Service.create ~jobs:1 ~prepared_cap:1 () in
+  let jobs =
+    List.map
+      (fun a -> Service.job ~max_steps:60_000 ~sanitize:false ~config:Config.none a)
+      [ Pna_attacks.L13_stack_ret.attack; Pna_attacks.L11_data_bss.attack;
+        Pna_attacks.L12_heap.attack ]
+  in
+  let warm = List.map (Service.exec svc) jobs in
+  let before = Service.stats svc in
+  let hits = List.map (Service.exec svc) jobs in
+  let after = Service.stats svc in
+  Service.shutdown svc;
+  List.iter2
+    (fun (w : Service.reply) (h : Service.reply) ->
+      Alcotest.(check bool) "served from the memo" true h.Service.r_cached;
+      Alcotest.(check bool) "same reply" true
+        (served_fingerprint w = served_fingerprint h))
+    warm hits;
+  Alcotest.(check int) "three hits" 3
+    (after.Service.st_memo_hits - before.Service.st_memo_hits);
+  Alcotest.(check int) "no replica thawed" before.Service.st_replica_clones
+    after.Service.st_replica_clones;
+  Alcotest.(check int) "nothing loaded" before.Service.st_fresh_loads
+    after.Service.st_fresh_loads;
+  Alcotest.(check int) "nothing rewound" before.Service.st_snapshot_restores
+    after.Service.st_snapshot_restores
+
+(* With no preloaded log, a machine is only ever built for a request
+   that then executes: loads + thaws never exceed memo misses. *)
+let test_images_bounded_by_misses () =
+  let svc = Service.create ~jobs:1 ~prepared_cap:2 () in
+  let attacks =
+    [ Pna_attacks.L13_stack_ret.attack; Pna_attacks.L11_data_bss.attack;
+      Pna_attacks.L12_heap.attack ]
+  in
+  let stream =
+    List.concat_map
+      (fun max_steps ->
+        List.concat_map
+          (fun a ->
+            [ Service.job ~max_steps ~sanitize:false ~config:Config.none a;
+              Service.job ~max_steps ~sanitize:false ~chaos_seed:3
+                ~config:Config.none a ])
+          attacks)
+      [ 60_000; 10; 60_000; 10 ]
+  in
+  let (_ : Service.reply list) = Service.run_batch svc stream in
+  let st = Service.stats svc in
+  Service.shutdown svc;
+  Alcotest.(check bool) "some hits, some misses" true
+    (st.Service.st_memo_hits > 0 && st.Service.st_memo_misses > 0);
+  Alcotest.(check bool) "loads + thaws <= misses" true
+    (st.Service.st_fresh_loads + st.Service.st_replica_clones
+    <= st.Service.st_memo_misses)
+
+(* Random request streams through a memo-on service whose prepared
+   cache holds two images: every reply, cached or not, equals a fresh
+   run of exactly that request. Streams draw from a small per-stream
+   palette of scenarios so keys repeat under both deadlines. *)
+let prop_memo_replies_equal_fresh =
+  let attacks = Array.of_list All.attacks in
+  let configs = [| Config.none; Config.stackguard; Config.full |] in
+  let stream_gen =
+    let open QCheck.Gen in
+    list_size (int_range 2 3) (int_bound (Array.length attacks - 1))
+    >>= fun palette ->
+    list_size (int_range 4 10)
+      (map
+         (fun ((a, c, sanitize), (chaos, deadline)) ->
+           (a, c, sanitize, chaos, deadline))
+         (pair
+            (triple (oneofl palette) (int_bound (Array.length configs - 1)) bool)
+            (pair (opt ~ratio:0.3 (int_range 1 3)) (oneofl [ 10; 60_000 ]))))
+  in
+  let print (a, c, sanitize, chaos, deadline) =
+    Fmt.str "%s/%s%s%s@%d" attacks.(a).Catalog.id configs.(c).Config.name
+      (if sanitize then "/san" else "")
+      (match chaos with None -> "" | Some s -> Fmt.str "/chaos=%d" s)
+      deadline
+  in
+  QCheck.Test.make ~count:12 ~name:"memo replies equal a fresh run"
+    QCheck.(make ~print:(fun l -> String.concat "; " (List.map print l)) stream_gen)
+    (fun reqs ->
+      let jobs =
+        List.map
+          (fun (a, c, sanitize, chaos_seed, max_steps) ->
+            Service.job ?chaos_seed ~max_steps ~sanitize ~config:configs.(c)
+              attacks.(a))
+          reqs
+      in
+      let svc = Service.create ~jobs:1 ~prepared_cap:2 () in
+      let served = Service.run_batch svc jobs in
+      Service.shutdown svc;
+      List.for_all2
+        (fun j r -> served_fingerprint r = served_fingerprint (fresh_reply j))
+        jobs served)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -519,4 +681,11 @@ let suite =
       t "sharded registry: stable, complete exports" test_sharded_registry_stable;
       t "replica store: cold loads bounded by workers"
         test_replica_store_bounds_loads;
+      t "memo key covers the deadline (10 then 200 000 steps)"
+        test_memo_key_covers_deadline;
+      t "request digest: deadline and full input" test_request_digest_deadline;
+      t "memo hit on an evicted key builds no replica"
+        test_memo_hit_without_replica;
+      t "loads + thaws <= memo misses" test_images_bounded_by_misses;
+      QCheck_alcotest.to_alcotest prop_memo_replies_equal_fresh;
     ] )
