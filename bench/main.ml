@@ -359,8 +359,9 @@ let service_group =
 (* sanitizer: what the PNASan oracle costs — the prepared driver path
    with no oracle (the production configuration E14 gates at 5% over the
    inline baseline), the same path with the shadow map attached, a raw
-   attach (shadow build over a loaded image), and the quarantining
-   allocator vs the plain free path. *)
+   attach (shadow build over a loaded image), the oracle attach a
+   sanitized prepare or thaw pays (shadow build plus heap and frame
+   poisoning), and the quarantining allocator vs the plain free path. *)
 let sanitizer_group =
   let module San = Pna_sanitizer.Sanitizer in
   [
@@ -376,6 +377,13 @@ let sanitizer_group =
         let m = Interp.load ~config:Config.none Pna.Workloads.pool_server in
         fun () ->
           let san = San.attach (Machine.mem m) in
+          San.detach san));
+    Test.make ~name:"sanitizer/oracle_attach" (stage (
+        let m = Interp.load ~config:Config.none Pna.Workloads.pool_server in
+        fun () ->
+          let san = San.attach (Machine.mem m) in
+          Machine.attach_sanitizer m (Some san);
+          Machine.attach_sanitizer m None;
           San.detach san));
     Test.make ~name:"sanitizer/quarantined_malloc_free" (stage (
         let open Pna_vmem in

@@ -349,14 +349,14 @@ type supervised = {
 let default_budget = Vm.default_max_steps
 
 (* Fleet-level retry accounting lands in the process-wide registry —
-   supervision has no per-instance owner the way the service does. *)
+   supervision has no per-instance owner the way the service does.
+   Registered eagerly: service workers supervise on several domains, and
+   two domains forcing one lazy value at once raise
+   [CamlinternalLazy.Undefined]. *)
 module Metrics = Pna_telemetry.Metrics
 
-let retries_total =
-  lazy (Metrics.counter Metrics.default "pna_supervise_retries_total")
-
-let giveups_total =
-  lazy (Metrics.counter Metrics.default "pna_supervise_giveups_total")
+let retries_total = Metrics.counter Metrics.default "pna_supervise_retries_total"
+let giveups_total = Metrics.counter Metrics.default "pna_supervise_giveups_total"
 
 (* A transient status is one worth retrying when it was provoked by an
    injected fault: the fault is one-shot, so the next attempt runs clean.
@@ -440,7 +440,7 @@ let supervise ?(config = Config.none) ?(max_retries = 3) ?(jitter_pct = 0)
       (* backoff is simulated (recorded, not slept): 1, 2, 4, ... ms,
          plus seeded jitter when [jitter_pct] asks for it *)
       let ms = backoff_ms attempt in
-      Metrics.incr (Lazy.force retries_total);
+      Metrics.incr retries_total;
       Trace.instant ~cat:"driver" "retry"
         ~args:
           [ ("after_attempt", Trace.Int attempt); ("backoff_ms", Trace.Int ms) ];
@@ -450,7 +450,7 @@ let supervise ?(config = Config.none) ?(max_retries = 3) ?(jitter_pct = 0)
       (* a transient, injected failure that exhausted the attempt cap is
          a give-up — distinct from a verdict reached on a clean run *)
       if injected && transient outcome && attempt > max_retries then
-        Metrics.incr (Lazy.force giveups_total);
+        Metrics.incr giveups_total;
       (* [attempt] is the attempt whose run produced this outcome: the
          supervisor retries strictly in sequence, so the surviving run
          is both the last and the verdict-producing one. Record it

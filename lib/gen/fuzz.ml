@@ -83,17 +83,13 @@ let union_recall s =
 
 (* Live campaign instruments in the process-wide registry, so a scrape
    (or `pna top` against a serving process) sees fuzz progress without
-   touching the deterministic result. Lazy: a process that never fuzzes
-   registers nothing. *)
-let m_genomes =
-  lazy (Metrics.counter Metrics.default "pna_fuzz_genomes_total")
-
-let m_kept = lazy (Metrics.counter Metrics.default "pna_fuzz_kept_total")
-
-let m_frontier =
-  lazy (Metrics.gauge Metrics.default "pna_fuzz_frontier_features")
-
-let m_rate = lazy (Metrics.gauge Metrics.default "pna_fuzz_genomes_per_s")
+   touching the deterministic result. Registered eagerly, not lazily:
+   two domains forcing one lazy value at once raise
+   [CamlinternalLazy.Undefined]. *)
+let m_genomes = Metrics.counter Metrics.default "pna_fuzz_genomes_total"
+let m_kept = Metrics.counter Metrics.default "pna_fuzz_kept_total"
+let m_frontier = Metrics.gauge Metrics.default "pna_fuzz_frontier_features"
+let m_rate = Metrics.gauge Metrics.default "pna_fuzz_genomes_per_s"
 
 let m_divergence kind =
   Metrics.counter
@@ -128,7 +124,7 @@ let campaign ?(n = 1000) ?(minimize_budget = 40) ?max_steps
      timestamps — so two campaigns with the same seed print identical
      lines (and E17 runs with it off either way). *)
   let progress attempted =
-    Metrics.set (Lazy.force m_rate)
+    Metrics.set m_rate
       (float_of_int attempted
       /. Float.max 1e-9 (Clock.elapsed_s ~a:t0 ~b:(Clock.now_ns ())));
     if progress_every > 0 && attempted mod progress_every = 0 then
@@ -139,7 +135,7 @@ let campaign ?(n = 1000) ?(minimize_budget = 40) ?max_steps
   in
   for i = 1 to n do
     let g = Genome.generate rng in
-    Metrics.incr (Lazy.force m_genomes);
+    Metrics.incr m_genomes;
     let id = Genome.id g in
     if Hashtbl.mem seen_ids id then incr duplicates
     else begin
@@ -175,8 +171,8 @@ let campaign ?(n = 1000) ?(minimize_budget = 40) ?max_steps
       if novel then begin
         List.iter (fun f -> Hashtbl.replace seen_features f ()) rep.Oracle.o_features;
         incr kept;
-        Metrics.incr (Lazy.force m_kept);
-        Metrics.set (Lazy.force m_frontier)
+        Metrics.incr m_kept;
+        Metrics.set m_frontier
           (float_of_int (Hashtbl.length seen_features));
         corpus := g :: !corpus
       end;

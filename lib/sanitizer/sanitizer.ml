@@ -3,7 +3,8 @@
     The shadow is one byte of state per simulated byte, stored per
     segment. Lookup mirrors [Vmem.find_segment]: a linear scan over the
     handful of mapped segments, which is the same cost the checked
-    accessors already pay. *)
+    accessors already pay. Range writes (poison/unpoison) never look up
+    per byte: they clip the range against each shadow once. *)
 
 module Vmem = Pna_vmem.Vmem
 module Fault = Pna_vmem.Fault
@@ -160,18 +161,35 @@ let shadow_images t =
   List.map (fun sh -> (sh.sh_base, sh.sh_states)) t.shadows
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let set_range t addr len st ~only_addressable =
-  let code = st_code st in
-  for i = 0 to len - 1 do
-    match find_shadow t (addr + i) with
-    | None -> ()
-    | Some sh ->
-      let off = addr + i - sh.sh_base in
-      if (not only_addressable) || Bytes.get_uint8 sh.sh_states off = 0 then begin
-        Bytes.set_uint8 sh.sh_states off code;
-        Cow.Bitmap.mark sh.sh_dirty off 1
-      end
-  done
+(* Rewrite the shadow of [addr, addr+len) to [code]: every byte when
+   [from < 0], else only the bytes whose state code is [from]. Shadows
+   never overlap (one per segment), so the range is at most one clipped
+   run per shadow it meets; bytes in unmapped gaps are skipped and
+   [len <= 0] touches nothing. *)
+let rewrite t ~addr ~len ~from code =
+  let stop = addr + len in
+  let rec go = function
+    | [] -> ()
+    | sh :: rest ->
+      let lo = Int.max addr sh.sh_base
+      and hi = Int.min stop (sh.sh_base + sh.sh_size) in
+      if lo < hi then begin
+        let off = lo - sh.sh_base and n = hi - lo in
+        if from < 0 then begin
+          Bytes.fill sh.sh_states off n (Char.unsafe_chr code);
+          Cow.Bitmap.mark sh.sh_dirty off n
+        end
+        else
+          for i = off to off + n - 1 do
+            if Bytes.get_uint8 sh.sh_states i = from then begin
+              Bytes.set_uint8 sh.sh_states i code;
+              Cow.Bitmap.mark sh.sh_dirty i 1
+            end
+          done
+      end;
+      go rest
+  in
+  go t.shadows
 
 let transition t op addr len st =
   match t.on_transition with
@@ -180,29 +198,19 @@ let transition t op addr len st =
 
 let poison t ~addr ~len st =
   transition t "poison" addr len st;
-  set_range t addr len st ~only_addressable:false
+  rewrite t ~addr ~len ~from:(-1) (st_code st)
 
 let poison_addressable t ~addr ~len st =
   transition t "poison-addressable" addr len st;
-  set_range t addr len st ~only_addressable:true
+  rewrite t ~addr ~len ~from:(st_code Addressable) (st_code st)
 
 let unpoison t ~addr ~len =
   transition t "unpoison" addr len Addressable;
-  set_range t addr len Addressable ~only_addressable:false
+  rewrite t ~addr ~len ~from:(-1) (st_code Addressable)
 
 let unpoison_state t ~addr ~len st =
   transition t "unpoison-state" addr len st;
-  let code = st_code st in
-  for i = 0 to len - 1 do
-    match find_shadow t (addr + i) with
-    | None -> ()
-    | Some sh ->
-      let off = addr + i - sh.sh_base in
-      if Bytes.get_uint8 sh.sh_states off = code then begin
-        Bytes.set_uint8 sh.sh_states off 0;
-        Cow.Bitmap.mark sh.sh_dirty off 1
-      end
-  done
+  rewrite t ~addr ~len ~from:(st_code st) (st_code Addressable)
 
 let set_scenario t s = t.scenario <- s
 let set_site t f = t.site <- f

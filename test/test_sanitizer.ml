@@ -160,6 +160,175 @@ let test_kind_names_roundtrip () =
         (San.kind_of_name (San.kind_name k) = Some k))
     San.all_kinds
 
+(* ---- range writes against a byte-wise reference model ---- *)
+
+(* Four segments: two adjacent ones whose shared boundary is not page
+   aligned, then two more behind unmapped gaps; the window reaches past
+   both ends so ranges can start or end outside any segment. *)
+let model_segments =
+  [ (0x1000, 0x300); (0x1300, 0x280); (0x1700, 0x200); (0x1a00, 0x100) ]
+let window_lo = 0x0f80
+let window_hi = 0x1b80
+
+let all_states =
+  San.
+    [
+      Addressable;
+      Heap_redzone;
+      Heap_meta;
+      Freed;
+      Stack_meta;
+      Place_tail;
+      Stale_tail;
+      Place_guard;
+    ]
+
+type range_op =
+  | Poison of int * int * San.state
+  | Poison_addressable of int * int * San.state
+  | Unpoison of int * int
+  | Unpoison_state of int * int * San.state
+
+let pp_range_op ppf = function
+  | Poison (a, n, st) -> Fmt.pf ppf "poison 0x%x+%d %a" a n San.pp_state st
+  | Poison_addressable (a, n, st) ->
+    Fmt.pf ppf "poison_addressable 0x%x+%d %a" a n San.pp_state st
+  | Unpoison (a, n) -> Fmt.pf ppf "unpoison 0x%x+%d" a n
+  | Unpoison_state (a, n, st) ->
+    Fmt.pf ppf "unpoison_state 0x%x+%d %a" a n San.pp_state st
+
+let apply_op s = function
+  | Poison (addr, len, st) -> San.poison s ~addr ~len st
+  | Poison_addressable (addr, len, st) -> San.poison_addressable s ~addr ~len st
+  | Unpoison (addr, len) -> San.unpoison s ~addr ~len
+  | Unpoison_state (addr, len, st) -> San.unpoison_state s ~addr ~len st
+
+let mapped addr =
+  List.exists (fun (b, n) -> addr >= b && addr < b + n) model_segments
+
+(* The reference: one state per window byte, updated one byte at a time
+   with the documented rule of each call. *)
+let model_apply model op =
+  let each addr len f =
+    for a = addr to addr + len - 1 do
+      if mapped a then model.(a - window_lo) <- f model.(a - window_lo)
+    done
+  in
+  match op with
+  | Poison (addr, len, st) -> each addr len (fun _ -> st)
+  | Poison_addressable (addr, len, st) ->
+    each addr len (fun cur -> if cur = San.Addressable then st else cur)
+  | Unpoison (addr, len) -> each addr len (fun _ -> San.Addressable)
+  | Unpoison_state (addr, len, st) ->
+    each addr len (fun cur -> if cur = st then San.Addressable else cur)
+
+let range_op_gen =
+  QCheck.Gen.(
+    let st = oneofl all_states in
+    let addr = int_range (window_lo - 0x20) (window_hi + 0x20) in
+    (* mostly short ranges, some spanning several segments, a few empty
+       or negative *)
+    let len =
+      frequency
+        [ (6, int_range 1 64); (3, int_range 64 0x600); (1, int_range (-8) 0) ]
+    in
+    frequency
+      [
+        (3, map3 (fun a n st -> Poison (a, n, st)) addr len st);
+        (3, map3 (fun a n st -> Poison_addressable (a, n, st)) addr len st);
+        (2, map2 (fun a n -> Unpoison (a, n)) addr len);
+        (2, map3 (fun a n st -> Unpoison_state (a, n, st)) addr len st);
+      ])
+
+let mk_multi_seg () =
+  let m = Vmem.create () in
+  List.iter
+    (fun (base, size) ->
+      ignore (Vmem.map m ~kind:Segment.Data ~base ~size ~perm:Perm.rw))
+    model_segments;
+  m
+
+(* State code of each state as the shadow images store it. *)
+let state_codes () =
+  List.map
+    (fun st ->
+      let s = San.attach (mk_multi_seg ()) in
+      San.poison s ~addr:0x1000 ~len:1 st;
+      match San.shadow_images s with
+      | (_, b) :: _ -> (st, Bytes.get_uint8 b 0)
+      | [] -> assert false)
+    all_states
+
+(* The model's shadow images, and a full-window [state_at] sweep (which
+   also reads the unmapped gaps as addressable). *)
+let model_images codes model =
+  List.map
+    (fun (base, size) ->
+      ( base,
+        Bytes.init size (fun i ->
+            Char.chr (List.assoc model.(base + i - window_lo) codes)) ))
+    model_segments
+
+let states_match s model =
+  let ok = ref true in
+  for a = window_lo to window_hi - 1 do
+    if San.state_at s a <> model.(a - window_lo) then ok := false
+  done;
+  !ok
+
+let matches_model codes s model =
+  San.shadow_images s = model_images codes model && states_match s model
+
+(* Three phases: ops, snapshot, ops, restore, ops, restore. The COW
+   sanitizer rewinds through its dirty bitmaps, the other copies every
+   byte, so a write that skips its dirty mark shows up as a mismatch
+   after the restore. *)
+let prop_range_writes_match_model =
+  QCheck.Test.make ~count:300 ~name:"shadow range writes match a byte-wise model"
+    QCheck.(
+      make
+        ~print:(fun (pre, mid, post) ->
+          let ops = Fmt.(Dump.list pp_range_op) in
+          Fmt.str "pre %a; mid %a; post %a" ops pre ops mid ops post)
+        Gen.(
+          triple
+            (list_size (int_range 0 12) range_op_gen)
+            (list_size (int_range 0 12) range_op_gen)
+            (list_size (int_range 0 12) range_op_gen)))
+    (fun (pre, mid, post) ->
+      let codes = state_codes () in
+      let cow = San.attach (mk_multi_seg ()) in
+      let full = San.attach (mk_multi_seg ()) in
+      San.set_cow full false;
+      let model = Array.make (window_hi - window_lo) San.Addressable in
+      let step ops =
+        List.for_all
+          (fun op ->
+            apply_op cow op;
+            apply_op full op;
+            model_apply model op;
+            let expected = model_images codes model in
+            San.shadow_images cow = expected && San.shadow_images full = expected)
+          ops
+        && matches_model codes cow model
+        && matches_model codes full model
+      in
+      let ok_pre = step pre in
+      let snap_cow = San.snapshot cow and snap_full = San.snapshot full in
+      let saved = Array.copy model in
+      let rewind () =
+        San.restore cow snap_cow;
+        San.restore full snap_full;
+        San.shadow_images cow = San.shadow_images full
+        && matches_model codes cow saved
+      in
+      let ok_mid = step mid in
+      let ok_rewind1 = rewind () in
+      Array.blit saved 0 model 0 (Array.length saved);
+      let ok_post = step post in
+      let ok_rewind2 = rewind () in
+      ok_pre && ok_mid && ok_rewind1 && ok_post && ok_rewind2)
+
 (* ---- heap wiring: redzones, quarantine, double free ---- *)
 
 let mk_heap () =
@@ -270,6 +439,44 @@ let test_violation_counter_exported () =
   in
   Alcotest.(check bool) "counter advanced" true (after > before)
 
+(* ---- allocation: attaching the oracle writes the shadow in ranges ---- *)
+
+(* Words [f] allocates on this domain: minor plus direct-major, without
+   counting promoted words twice. *)
+let alloc_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let r = f () in
+  let after = words () in
+  ignore (Sys.opaque_identity r);
+  int_of_float (after -. before)
+
+(* Attaching the oracle poisons the whole heap shadow. A per-byte shadow
+   lookup there costs ~1.5 M words per attach; range writes leave the
+   shadow and machine buffers as the bulk of the cost. *)
+let attach_alloc_bound = 600_000
+
+let test_sanitized_prepare_allocation () =
+  let a = Pna_attacks.L13_stack_ret.attack in
+  ignore (Driver.prepare ~sanitize:true a);
+  let w = alloc_words (fun () -> Driver.prepare ~sanitize:true a) in
+  if w >= attach_alloc_bound then
+    Alcotest.failf "sanitized prepare allocated %d words (bound %d)" w
+      attach_alloc_bound
+
+let test_sanitized_thaw_allocation () =
+  let im =
+    Driver.freeze (Driver.prepare ~sanitize:true Pna_attacks.L13_stack_ret.attack)
+  in
+  ignore (Driver.thaw im);
+  let w = alloc_words (fun () -> Driver.thaw im) in
+  if w >= attach_alloc_bound then
+    Alcotest.failf "sanitized thaw allocated %d words (bound %d)" w
+      attach_alloc_bound
+
 (* ---- catalogue sweep: the fast twin of E14 ---- *)
 
 let test_catalog_completeness () =
@@ -327,6 +534,7 @@ let suite =
       t "seal / exempt / unseal" test_seal_exempt_unseal;
       t "snapshot/restore rewinds the oracle" test_snapshot_restore_rewinds_oracle;
       t "kind names round-trip" test_kind_names_roundtrip;
+      QCheck_alcotest.to_alcotest prop_range_writes_match_model;
       t "heap shadow geometry" test_heap_shadow_geometry;
       t "use-after-free detected via quarantine" test_use_after_free_detected;
       t "quarantine bounded, evictions reusable"
@@ -336,6 +544,9 @@ let suite =
       t "prepared rewind is violation-deterministic"
         test_prepared_rewind_deterministic;
       t "violation counter exported" test_violation_counter_exported;
+      t "sanitized prepare allocates under the bound"
+        test_sanitized_prepare_allocation;
+      t "sanitized thaw allocates under the bound" test_sanitized_thaw_allocation;
       t "catalogue completeness matches E14 expectations"
         test_catalog_completeness;
       t "hardened twins are flag-free" test_hardened_twins_flag_free;
