@@ -1,25 +1,22 @@
 (** pna — command-line front end for the placement-new attack study.
 
-    Subcommands map one-to-one onto the experiments of DESIGN.md:
-    [matrix] (E1), [stackguard] (E2/E3), [leak] (E4), [dos] (E5),
-    [memleak] (E6), [audit] (E7), [defmatrix]/[overhead] (E8),
-    [chaos] (E9), [randtest] (E10), [repair] (E11), [throughput] (E12),
-    [telemetry] (E13), [oracle] (E14), [scaling] (E15), [netgate] (E16),
-    [gengate] (E17), [tracegate] (E18), [vmgate] (E19: the bytecode VM
-    against the recorded observations of the tree-walking evaluator it
-    replaced), [cowgate] (E20),
-    plus [generate]/[fuzz]/[corpus]
-    for the generative attack catalogue, [batch]/[serve] to drive the
-    parallel scenario service,
+    [gate <ID>...|all] runs the experiment gates E1–E20 of
+    EXPERIMENTS.md from one registry ({!Pna_gen.Gates}): each gate prints
+    its report, then a verdict line from the same bool that sets the exit
+    status. The other subcommands are tools rather than gates:
+    [list]/[run]/[source]/[inspect]/[layout]/[coverage] for exploration,
+    [audit <ID>] for one attack's static findings, [chaos] to dump or
+    replay fault plans, [sanitize] for the PNASan report,
+    [generate]/[fuzz]/[corpus] for the generative attack catalogue,
+    [record-vm-fixture] to re-record E19's reference observations,
+    [batch]/[serve] to drive the parallel scenario service,
     [serve-tcp]/[loadgen]/[compact] for the TCP front end and its
     crash-safe memo log, [trace]/[stats] for the telemetry exporters
     ([trace --wire] for a cross-process sampled run, [trace --merge] to
     fuse per-process exports), [forensics] to replay an attack from its
     flight-recorder bundle, [top] to poll a serving process's metrics
-    over the wire, [list]/[run]/[layout] for exploration and [all] to
-    regenerate everything. Experiment commands, [all] included, exit
-    non-zero when any experiment fails its verdict, so they can gate
-    CI. *)
+    over the wire, and [check]/[exec]/[harden] for MiniC++ source
+    files. *)
 
 open Cmdliner
 module Catalog = Pna_attacks.Catalog
@@ -173,103 +170,61 @@ let sanitize_cmd =
        ~doc:"Run the whole catalogue (and hardened variants) under the              PNASan shadow-memory oracle and print every recorded              violation — the CI artifact report.")
     Term.(const run $ config_t)
 
-(* ---- experiments ---- *)
-
-let simple name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
-
-(* Print the experiment table, then turn a failed verdict into exit 1. *)
-let report pp rows ok = Fmt.pr "%a@." pp rows; if not (ok rows) then exit 1
-
-let matrix_cmd =
-  simple "matrix" "E1: run every attack with defenses off." (fun () ->
-      report E.pp_e1 (E.e1 ()) E.e1_ok)
-
-let stackguard_cmd =
-  simple "stackguard" "E2/E3: StackGuard detection and the selective bypass."
-    (fun () -> report E.pp_e2_e3 (E.e2_e3 ()) E.e2_e3_ok)
-
-let leak_cmd =
-  simple "leak" "E4: information leakage with and without sanitization."
-    (fun () -> report E.pp_e4 (E.e4 ()) E.e4_ok)
-
-let dos_cmd =
-  simple "dos" "E5: DoS response curve for attacker-chosen loop bounds."
-    (fun () -> report E.pp_e5 (E.e5 ()) E.e5_ok)
-
-let memleak_cmd =
-  simple "memleak" "E6: memory-leak growth per iteration." (fun () ->
-      report E.pp_e6 (E.e6 ()) E.e6_ok)
+(* ---- audit: one attack's static findings ---- *)
 
 let audit_cmd =
-  let id_t = Arg.(value & pos 0 (some string) None & info [] ~docv:"ATTACK-ID") in
+  let id_t =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"ATTACK-ID")
+  in
   let run id =
-    match id with
-    | None -> report E.pp_e7 (E.e7 ()) E.e7_ok
-    | Some id -> (
-      match All.find id with
-      | None ->
-        Fmt.epr "unknown attack %s@." id;
-        exit 1
-      | Some a ->
-        Fmt.pr "--- vulnerable program ---@.%a@." Pna_analysis.Audit.pp_report
-          (Pna_analysis.Audit.analyze a.Catalog.program);
-        Option.iter
-          (fun h ->
-            Fmt.pr "--- hardened program ---@.%a@." Pna_analysis.Audit.pp_report
-              (Pna_analysis.Audit.analyze h))
-          a.Catalog.hardened)
+    match All.find id with
+    | None ->
+      Fmt.epr "unknown attack %s@." id;
+      exit 1
+    | Some a ->
+      Fmt.pr "--- vulnerable program ---@.%a@." Pna_analysis.Audit.pp_report
+        (Pna_analysis.Audit.analyze a.Catalog.program);
+      Option.iter
+        (fun h ->
+          Fmt.pr "--- hardened program ---@.%a@." Pna_analysis.Audit.pp_report
+            (Pna_analysis.Audit.analyze h))
+        a.Catalog.hardened
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"E7: static detection table, or detailed findings for one attack.")
+       ~doc:"Detailed static findings for one attack and its hardened twin \
+             (the E7 table is $(b,pna gate E7)).")
     Term.(const run $ id_t)
 
-let defmatrix_cmd =
-  simple "defmatrix" "E8: attack x defense matrix." (fun () ->
-      report E.pp_e8_matrix (E.e8_matrix ()) E.e8_matrix_ok)
-
-let overhead_cmd =
-  simple "overhead" "E8: benign workload under each defense." (fun () ->
-      report E.pp_e8_overhead (E.e8_overhead ()) E.e8_overhead_ok)
-
-let randtest_cmd =
-  simple "randtest"
-    "E10: random testing vs the directed attacker (formerly `fuzz'; the \
-     generative campaign now owns that name)." (fun () ->
-      report E.pp_e10 (E.e10 ()) E.e10_ok)
-
-let repair_cmd =
-  simple "repair" "E11: auto-harden the whole catalogue and replay the attacks."
-    (fun () -> report E.pp_e11 (E.e11 ()) E.e11_ok)
-
-(* ---- chaos (E9) ---- *)
+(* ---- chaos: E9's fault plans, dumped or replayed ---- *)
 
 let chaos_cmd =
   let module Plan = Pna_chaos.Plan in
   let seed_t =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
-           ~doc:"Base seed; trial k uses seed N+k.")
+           ~doc:"With $(b,--dump-plans): base seed; plan k uses seed N+k.")
   in
   let trials_t =
     Arg.(value & opt int 10 & info [ "trials" ] ~docv:"N"
-           ~doc:"Seeded plans per attack x defense combination.")
+           ~doc:"With $(b,--dump-plans): how many plans to print.")
   in
   let rate_t =
     Arg.(value & opt float 1.0 & info [ "fault-rate" ] ~docv:"R"
-           ~doc:"Fault-density multiplier for generated plans.")
+           ~doc:"With $(b,--dump-plans): fault-density multiplier.")
   in
   let dump_t =
     Arg.(value & flag & info [ "dump-plans" ]
-           ~doc:"Print the generated plans instead of running the sweep.")
+           ~doc:"Print the seeded plans the E9 sweep draws.")
   in
   let replay_t =
     Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"PLAN-FILE"
-           ~doc:"Replay one dumped plan against every victim instead of              sweeping fresh seeds.")
+           ~doc:"Replay one dumped plan against every E9 victim.")
   in
   let one_config_t =
     Arg.(value & opt (some config_arg) None
          & info [ "d"; "defense" ] ~docv:"CONFIG"
-             ~doc:"Restrict the sweep to one defense configuration              (default: all of them).")
+             ~doc:"With $(b,--replay): one defense configuration \
+                   (default: all of them).")
   in
   let run seed trials rate dump replay config =
     let configs =
@@ -295,24 +250,25 @@ let chaos_cmd =
                     a.Catalog.id config.Config.name (Printexc.to_string exn))
               configs)
           (E.e9_programs ());
-        if !escaped then exit 1)
+        if !escaped then exit 1 else `Ok ())
+    | None when dump ->
+      for k = 0 to trials - 1 do
+        Fmt.pr "%s@." (Plan.to_string (Plan.generate ~rate ~seed:(seed + k) ()))
+      done;
+      `Ok ()
     | None ->
-      if dump then
-        for k = 0 to trials - 1 do
-          Fmt.pr "%s@." (Plan.to_string (Plan.generate ~rate ~seed:(seed + k) ()))
-        done
-      else
-        report E.pp_e9
-          (E.e9 ~seed_base:seed ~seeds:trials ~rate ~configs ())
-          E.e9_ok
+      `Error
+        (true, "pass --dump-plans or --replay; the E9 sweep is `pna gate E9'")
   in
   Cmd.v
     (Cmd.info "chaos"
-       ~doc:"E9: sweep seeded fault plans over attacks and the benign              workload under supervision; assert graceful degradation.")
-    Term.(const run $ seed_t $ trials_t $ rate_t $ dump_t $ replay_t
-          $ one_config_t)
+       ~doc:"Print the seeded fault plans of the E9 sweep, or replay one plan \
+             under supervision against every victim (exit 1 on an escaped \
+             exception). The sweep itself is $(b,pna gate E9).")
+    Term.(ret (const run $ seed_t $ trials_t $ rate_t $ dump_t $ replay_t
+               $ one_config_t))
 
-(* ---- the scenario service: batch / serve / throughput (E12) ---- *)
+(* ---- the scenario service: batch / serve ---- *)
 
 module Service = Pna_service.Service
 
@@ -439,24 +395,6 @@ let serve_cmd =
        ~doc:"Serve a deterministic synthetic request stream over the              catalogue and report throughput.")
     Term.(const run $ jobs_t $ requests_t $ seed_t $ chaos_every_t $ verbose_t
           $ metrics_t $ json_t)
-
-let throughput_cmd =
-  let repeats_t =
-    Arg.(value & opt int 24 & info [ "repeats" ] ~docv:"N"
-           ~doc:"Repetitions of the benign request block in the memoization              phases.")
-  in
-  let run repeats metrics =
-    if metrics then Telemetry.enable ();
-    report E.pp_e12 (E.e12 ~repeats ()) E.e12_ok;
-    if metrics then Fmt.pr "@.%a" Metrics.pp_prometheus Metrics.default
-  in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:"E12: scenario-service throughput — snapshot reuse, memoization              and domain scaling.")
-    Term.(const run $ repeats_t $ metrics_t)
-
-(* [all_cmd] is defined after the gen section so it can close with the
-   E17 gate. *)
 
 (* ---- layout ---- *)
 
@@ -715,60 +653,15 @@ let stats_cmd =
        ~doc:"Run the catalogue (or one attack) under a defense and dump the              default metrics registry in Prometheus text format.")
     Term.(const run $ id_t $ config_t)
 
-(* ---- telemetry: E13 ---- *)
-
-let telemetry_cmd =
-  simple "telemetry"
-    "E13: telemetry-disabled overhead and trace-completeness gates." (fun () ->
-      report E.pp_e13 (E.e13 ()) E.e13_ok)
-
-(* ---- oracle: E14 ---- *)
-
-let oracle_cmd =
-  simple "oracle"
-    "E14: PNASan completeness — every attack flagged at its first corrupting \
-     access, clean runs flag-free, disabled overhead gated." (fun () ->
-      report E.pp_e14 (E.e14 ()) E.e14_ok)
-
-(* ---- scaling: E15 ---- *)
-
-let scaling_cmd =
-  let jobs_t =
-    Arg.(
-      value & opt_all int []
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker-domain counts for the scaling sweep (repeatable; \
-                default 1 then 4). The gate compares the first count \
-                against the last, adapted to the host's core count.")
-  in
-  let repeats_t =
-    Arg.(
-      value & opt int 16
-      & info [ "repeats" ] ~docv:"N"
-          ~doc:"Repetitions of the benign request stream per sweep point.")
-  in
-  let run jobs repeats =
-    let scale = match jobs with [] -> [ 1; 4 ] | js -> js in
-    report E.pp_e15 (E.e15 ~repeats ~scale ()) E.e15_ok
-  in
-  Cmd.v
-    (Cmd.info "scaling"
-       ~doc:"E15: the Vmem fast path is byte-identical to the per-byte \
-             reference path and pays for itself; pooled execution matches \
-             the sequential driver and scales across domains.")
-    Term.(const run $ jobs_t $ repeats_t)
-
-(* ---- gen: the generative attack catalogue (generate / fuzz / corpus /
-   gengate = E17) ---- *)
+(* ---- gen: the generative attack catalogue (generate / fuzz / corpus) and
+   the E19 fixture recorder ---- *)
 
 module Genome = Pna_gen.Genome
 module GenBuild = Pna_gen.Build
 module GenOracle = Pna_gen.Oracle
 module GenFuzz = Pna_gen.Fuzz
 module GenCorpus = Pna_gen.Corpus
-module GenGate = Pna_gen.Gate
 module VmGate = Pna_gen.Vmgate
-module CowGate = Pna_gen.Cowgate
 
 let gen_seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
@@ -920,75 +813,57 @@ let corpus_cmd =
        ~doc:"Inspect a saved corpus: list genomes, replay them through the              differential oracle, or print one as C++ source.")
     Term.(const run $ path_t $ replay_t $ show_t)
 
-let gengate_cmd =
-  let run seed n =
-    let g = GenGate.run ~seed ~n () in
-    Fmt.pr "%a@." GenGate.pp g;
-    if not g.GenGate.e_ok then exit 1
-  in
-  Cmd.v
-    (Cmd.info "gengate"
-       ~doc:"E17: the generative-corpus gate — two seeded campaigns agree to              the byte, zero unclassified oracle crashes, every divergence              ships as a minimized reproducing genome, and the static              checker's precision/recall is measured on generated truth.")
-    Term.(const run $ gen_seed_t $ gen_n_t 1000)
-
-let vmgate_cmd =
-  let record_t =
-    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE"
-           ~doc:"Write the VM's observations of every row to FILE as a new              fixture instead of checking the committed one. Re-recording              replaces the tree-walker's observations with the VM's own, so              it is only for a deliberate, reviewed change of behaviour              (a new attack, a generator change); diff the result.")
+let record_vm_fixture_cmd =
+  let path_t =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let commit_t =
     Arg.(value & opt string "unknown" & info [ "commit" ] ~docv:"SHA"
-           ~doc:"With $(b,--record): the commit stamped into the fixture              header.")
+           ~doc:"The commit stamped into the fixture header.")
   in
-  let run seed n record commit =
-    match record with
-    | Some path ->
-      let text =
-        VmGate.record ~commit ~recorded_with:"bytecode VM" ~seed ~n ()
-      in
-      Out_channel.with_open_bin path (fun oc -> output_string oc text)
-    | None ->
-      let g = VmGate.run ~seed ~n () in
-      Fmt.pr "%a@." VmGate.pp g;
-      if not g.VmGate.v_ok then exit 1
+  let run path commit =
+    let text = VmGate.record ~commit ~recorded_with:"bytecode VM" () in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
   in
   Cmd.v
-    (Cmd.info "vmgate"
-       ~doc:"E19: the bytecode VM reproduces the recorded tree-walker — every              row of the committed fixture (the catalogue under defenses off              and full, plain and sanitized; the seeded genome stream; fixed              plain, sanitized, deadline and chaos-supervised genome sets)              re-runs on the VM with identical outcome, event digest,              verdict, violation digest, access accounting and retry              history. A divergent, missing, extra or unparsable row fails.              $(b,--seed) and $(b,-n) select the genome stream; the committed              fixture holds seed 42 and 1000 genomes.")
-    Term.(const run $ gen_seed_t $ gen_n_t 1000 $ record_t $ commit_t)
+    (Cmd.info "record-vm-fixture"
+       ~doc:"Write the VM's observations of every E19 row (the catalogue \
+             under defenses off and full, plain and sanitized; the seed-42 \
+             1000-genome stream; the fixed plain, sanitized, deadline and \
+             chaos-supervised genome sets) to FILE as a new fixture. \
+             Re-recording replaces the tree-walker's observations with the \
+             VM's own, so it is only for a deliberate, reviewed change of \
+             behaviour (a new attack, a generator change); diff the result \
+             against lib/gen/vmgate_fixture.txt. $(b,pna gate E19) checks \
+             the committed fixture.")
+    Term.(const run $ path_t $ commit_t)
 
-let cowgate_cmd =
-  let run seed n =
-    let g = CowGate.run ~seed ~n () in
-    Fmt.pr "%a@." CowGate.pp g;
-    if not g.CowGate.c_ok then exit 1
+(* ---- gate: the experiment gates E1–E20 ---- *)
+
+module Gates = Pna_gen.Gates
+
+let gate_cmd =
+  let ids_t =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID"
+           ~doc:"Gates to run, in registry order whatever the order given: \
+                 E1, E2 (covers E3), E4 ... E20, or $(b,all).")
+  in
+  let run ids =
+    match Gates.select ids with
+    | Error m -> `Error (false, m)
+    | Ok gates -> if E.run_gates Fmt.stdout gates then `Ok () else exit 1
   in
   Cmd.v
-    (Cmd.info "cowgate"
-       ~doc:"E20: the copy-on-write equivalence gate — dirty-page rewinds and              thawed image replicas reproduce the full-copy reference              bit-for-bit (results, memory, taint, permissions, shadow map)              over the whole catalogue and a seeded genome stream.")
-    Term.(const run $ gen_seed_t $ gen_n_t 300)
+    (Cmd.info "gate"
+       ~man:
+         (`S "GATES"
+         :: List.map (fun (g : E.gate) -> `I (g.E.id, g.E.doc)) Gates.all)
+       ~doc:"Run experiment gates: each prints its report and then its \
+             verdict line, and a verdict summary closes the run. Exits 1 \
+             when any gate fails.")
+    Term.(ret (const run $ ids_t))
 
-let all_cmd =
-  simple "all" "Run every experiment (E1-E20)." (fun () ->
-      let verdicts = E.run_all Fmt.stdout () in
-      (* E17/E20 at sampling counts — the full-stream runs are the
-         dedicated [gengate] / [cowgate] entry points. E19 checks every
-         fixture row: a sampled stream would leave rows unchecked. *)
-      let g = GenGate.run ~n:300 () in
-      Fmt.pr "%a@.@." GenGate.pp g;
-      let v = VmGate.run () in
-      Fmt.pr "%a@.@." VmGate.pp v;
-      let c = CowGate.run ~n:100 () in
-      Fmt.pr "%a@.@." CowGate.pp c;
-      let verdicts =
-        verdicts
-        @ [ ("E17", g.GenGate.e_ok); ("E19", v.VmGate.v_ok);
-            ("E20", c.CowGate.c_ok) ]
-      in
-      Fmt.pr "%a@." E.pp_verdicts verdicts;
-      if not (E.all_ok verdicts) then exit 1)
-
-(* ---- net: the TCP front end (serve-tcp / loadgen / compact / netgate) ---- *)
+(* ---- net: the TCP front end (serve-tcp / loadgen / compact) ---- *)
 
 let host_t =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR"
@@ -1211,21 +1086,6 @@ let top_cmd =
        ~doc:"Poll a serve-tcp server's Prometheus snapshot over the wire              (Stats frames) — server and service-pool registries, no HTTP              endpoint needed.")
     Term.(const run $ host_t $ port_t $ polls_t $ interval_t)
 
-(* ---- tracegate: E18 ---- *)
-
-let tracegate_cmd =
-  let requests_t =
-    Arg.(value & opt int 96 & info [ "n"; "requests" ] ~docv:"N"
-           ~doc:"Requests for the traced wire phase.")
-  in
-  let run requests =
-    report E.pp_e18 (E.e18 ~requests ()) E.e18_ok
-  in
-  Cmd.v
-    (Cmd.info "tracegate"
-       ~doc:"E18: the observability gate — sampled wire traces merge into              connected span trees with zero orphans and zero ring drops,              every catalogue attack's forensic bundle names the same first              corrupting access as the live PNASan verdict, v1 frames still              decode, and disabled telemetry stays within 5%.")
-    Term.(const run $ requests_t)
-
 let compact_cmd =
   let path_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MEMO-LOG")
@@ -1244,29 +1104,6 @@ let compact_cmd =
     (Cmd.info "compact"
        ~doc:"Offline-compact a memo log: drop duplicate records, keeping the              first per key (what the in-memory cache would have served), and              records without a stable request digest (never served),              atomically via write-aside and rename.")
     Term.(const run $ path_t)
-
-let netgate_cmd =
-  let requests_t =
-    Arg.(value & opt (some int) None & info [ "n"; "requests" ] ~docv:"N"
-           ~doc:"Load-phase request count. Default adapts to the host:              1M with 8+ cores, 100k otherwise; $(b,PNA_E16_N) overrides.")
-  in
-  let chaos_requests_t =
-    Arg.(value & opt int 1_500 & info [ "chaos-requests" ] ~docv:"N"
-           ~doc:"Chaos-soak request count.")
-  in
-  let fuzz_t =
-    Arg.(value & opt int 120 & info [ "fuzz-frames" ] ~docv:"N"
-           ~doc:"Malformed frames for the protocol-fuzz phase.")
-  in
-  let run requests chaos_requests fuzz_frames =
-    report E.pp_e16
-      (E.e16 ?requests ~chaos_requests ~fuzz_frames ())
-      E.e16_ok
-  in
-  Cmd.v
-    (Cmd.info "netgate"
-       ~doc:"E16: the wire gate — load with latency percentiles, protocol              fuzz (every malformed frame classified, server survives), chaos              soak (verdicts identical to the in-process driver).")
-    Term.(const run $ requests_t $ chaos_requests_t $ fuzz_t)
 
 (* ---- check / exec: the toolchain on user-supplied source files ---- *)
 
@@ -1369,24 +1206,15 @@ let () =
             list_cmd;
             run_cmd;
             sanitize_cmd;
-            matrix_cmd;
-            stackguard_cmd;
-            leak_cmd;
-            dos_cmd;
-            memleak_cmd;
+            gate_cmd;
             audit_cmd;
-            defmatrix_cmd;
-            overhead_cmd;
             chaos_cmd;
-            randtest_cmd;
-            repair_cmd;
             generate_cmd;
             fuzz_cmd;
             corpus_cmd;
-            gengate_cmd;
+            record_vm_fixture_cmd;
             batch_cmd;
             serve_cmd;
-            throughput_cmd;
             layout_cmd;
             inspect_cmd;
             source_cmd;
@@ -1395,18 +1223,10 @@ let () =
             coverage_cmd;
             trace_cmd;
             stats_cmd;
-            telemetry_cmd;
-            oracle_cmd;
-            scaling_cmd;
             serve_tcp_cmd;
             loadgen_cmd;
             compact_cmd;
-            netgate_cmd;
             forensics_cmd;
             top_cmd;
-            tracegate_cmd;
-            vmgate_cmd;
-            cowgate_cmd;
             harden_cmd;
-            all_cmd;
           ]))

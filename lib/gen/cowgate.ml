@@ -177,9 +177,7 @@ let pp ppf t =
   Fmt.pf ppf
     "catalogue: %d/%d path triples identical (COW, thawed replica, full copy: \
      results + rewound memory, taint, perms, shadow)@,\
-     generated: %d genomes (seed %d), %d divergence(s)@,\
-     => %s@]"
+     generated: %d genomes (seed %d), %d divergence(s)@]"
     (List.length (List.filter row_ok t.c_rows))
     (List.length t.c_rows) t.c_genomes t.c_seed
     (List.length t.c_genome_bad)
-    (if t.c_ok then "OK" else "FAILED")

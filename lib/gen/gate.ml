@@ -93,9 +93,8 @@ let pp ppf t =
           (if r.rp_ok then "[reproduces]" else "[DOES NOT REPRODUCE]"))
       rs);
   (match t.e_misclassification with
-  | Some m -> Fmt.pf ppf "checker misclassification found: %s@," m
+  | Some m -> Fmt.pf ppf "checker misclassification found: %s@]" m
   | None ->
     Fmt.pf ppf
       "no checker misclassification surfaced; precision/recall above is the \
-       report@,");
-  Fmt.pf ppf "=> %s@]" (if t.e_ok then "OK" else "FAILED")
+       report@]")

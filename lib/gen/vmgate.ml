@@ -347,7 +347,7 @@ let parse text =
 let record ~commit ~recorded_with ?(seed = default_seed) ?(n = default_n) () =
   let b = Buffer.create (1 lsl 20) in
   Buffer.add_string b
-    "# E19 fixture: observations of every row, checked by `pna vmgate`.\n";
+    "# E19 fixture: observations of every row, checked by `pna gate E19`.\n";
   List.iter
     (fun (k, v) -> Buffer.add_string b (Fmt.str "# %s: %s\n" k v))
     [ ("format", string_of_int format_version); ("commit", commit);
@@ -446,9 +446,7 @@ let pp ppf t =
   Fmt.pf ppf
     "fixture: format %s, recorded with %s at %s@,\
      rows: %d checked, %d diverged, %d missing, %d extra (outcome, events, \
-     verdict, violations, access accounting, supervision)@,\
-     => %s@]"
+     verdict, violations, access accounting, supervision)@]"
     (h "format") (h "recorded-with") (h "commit") t.v_checked
     (List.length t.v_diverged) (List.length t.v_missing)
     (List.length t.v_extra)
-    (if t.v_ok then "OK" else "FAILED")

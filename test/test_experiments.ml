@@ -153,7 +153,7 @@ let test_e12_service_throughput () =
 
 let test_e13_telemetry () =
   (* small reps/blocks keep this quick; the overhead ratio gate itself is
-     timing-sensitive, so CI asserts it via `pna telemetry` while this
+     timing-sensitive, so CI asserts it via `pna gate E13` while this
      test pins the structural claims: every scenario trace is complete,
      nothing dropped, and both timing legs actually ran *)
   Pna_telemetry.Telemetry.disable ();
@@ -176,7 +176,7 @@ let test_e13_telemetry () =
 
 let test_e15_fast_path () =
   (* scale:[] skips the wall-clock scaling sweep (hardware-dependent; CI
-     asserts it via `pna scaling`); the equivalence and live-speed claims
+     asserts it via `pna gate E15`); the equivalence and live-speed claims
      are structural and hold on any host *)
   let r = E.e15 ~iters:100_000 ~scale:[] () in
   Alcotest.(check bool) "rows cover all scenarios x 2 configs" true
@@ -191,7 +191,7 @@ let test_e15_fast_path () =
   Alcotest.(check bool) "pooled matches sequential" true r.E.t15_pool_agree;
   Alcotest.(check bool) "both speed legs timed" true
     (r.E.t15_speed.E.fs_fast_ns > 0. && r.E.t15_speed.E.fs_byte_ns > 0.);
-  (* the real gate is >= 3x via `pna scaling`; the tier-1 floor only
+  (* the real gate is >= 3x via `pna gate E15`; the tier-1 floor only
      requires the fast path to win at all, so scheduler noise on a loaded
      CI box cannot flake the suite *)
   Alcotest.(check bool) "fast path beats byte path" true
@@ -203,22 +203,87 @@ let test_workload_heap_churn () =
   | O.Exited 0 -> ()
   | st -> Alcotest.failf "heap churn failed: %a" O.pp_status st
 
-(* [pna all] exits on this fold: one failed verdict anywhere fails the
-   run, and a run that reached no verdict fails too. *)
-let test_all_ok_fold () =
-  let ok = [ ("E1", true); ("E13", true); ("E19", true) ] in
-  Alcotest.(check bool) "every verdict holds" true (E.all_ok ok);
-  Alcotest.(check bool) "one failed verdict fails the run" false
-    (E.all_ok (ok @ [ ("E5", false) ]));
-  Alcotest.(check bool) "no verdicts fail the run" false (E.all_ok []);
-  Alcotest.(check bool) "the failure is named" true
-    (let s = Fmt.str "%a" E.pp_verdicts [ ("E1", true); ("E5", false) ] in
-     let sub = "FAILED: E5" in
-     let n = String.length sub in
-     let rec go i =
-       i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-     in
-     go 0)
+let contains sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let stub id ok = { E.id; doc = "stub"; run = (fun _ -> ok) }
+
+let harness gates =
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  let ok = E.run_gates ppf gates in
+  Format.pp_print_flush ppf ();
+  (ok, Buffer.contents b)
+
+module Gates = Pna_gen.Gates
+
+let test_registry_order () =
+  Alcotest.(check (list string)) "one gate per section, E3 folded into E2"
+    (List.init 20 succ |> List.filter (( <> ) 3) |> List.map (Fmt.str "E%d"))
+    (List.map (fun (g : E.gate) -> g.E.id) Gates.all);
+  match Gates.select [ "all" ] with
+  | Ok gs -> Alcotest.(check int) "all selects every gate" 19 (List.length gs)
+  | Error m -> Alcotest.fail m
+
+let test_registry_unknown_id () =
+  (match Gates.select [ "E13"; "E1" ] with
+  | Ok gs ->
+    Alcotest.(check (list string)) "registry order, not argument order"
+      [ "E1"; "E13" ] (List.map (fun (g : E.gate) -> g.E.id) gs)
+  | Error m -> Alcotest.fail m);
+  match Gates.select [ "E1"; "E3" ] with
+  | Ok _ -> Alcotest.fail "E3 is not a gate of its own"
+  | Error m ->
+    Alcotest.(check bool) "names the unknown id" true
+      (contains "unknown gate E3" m);
+    List.iter
+      (fun (g : E.gate) ->
+        Alcotest.(check bool) (g.E.id ^ " listed") true
+          (contains (g.E.id ^ ",") m))
+      Gates.all
+
+(* [pna gate] exits on this fold: one failed verdict anywhere fails the
+   run, a run that reached no verdict fails too, and every verdict line
+   is printed from the bool the gate returned. *)
+let test_gate_fold () =
+  let ok, out = harness [ stub "E1" true; stub "E13" true; stub "E19" true ] in
+  Alcotest.(check bool) "every verdict holds" true ok;
+  Alcotest.(check bool) "verdict line per gate" true
+    (contains "=> E13 OK\n" out);
+  let ok, out = harness [ stub "E1" true; stub "E5" false ] in
+  Alcotest.(check bool) "one failed verdict fails the run" false ok;
+  Alcotest.(check bool) "its line reads FAILED" true
+    (contains "=> E5 FAILED\n" out);
+  Alcotest.(check bool) "the failure is named" true (contains "FAILED: E5" out);
+  Alcotest.(check bool) "no verdicts fail the run" false (fst (harness []))
+
+(* A report whose forensic sweep came back empty: every other clause
+   holds, but E18 needs at least one bundle with a live violation, and
+   the only verdict printed is the harness line. *)
+let test_e18_empty_forensics_fails () =
+  let report =
+    {
+      E.t18_wire =
+        { E.w_traced = 24; w_traces = 24; w_roots_ok = true; w_orphans = 0;
+          w_layers_ok = true; w_queue_ok = true; w_dropped = 0 };
+      t18_rows = [];
+      t18_compat =
+        { E.c_v1_versions = true; c_v1_roundtrip = true; c_v2_roundtrip = true;
+          c_stats_roundtrip = true };
+      t18_overhead =
+        { E.ov_baseline_s = 0.02; ov_production_s = 0.02; ov_ratio = 1.0 };
+    }
+  in
+  let g = E.gate "E18" "synthetic" (fun () -> report) E.pp_e18 E.e18_ok in
+  let ok, out = harness [ g ] in
+  Alcotest.(check bool) "verdict fails" false ok;
+  Alcotest.(check bool) "harness line reads FAILED" true
+    (contains "=> E18 FAILED" out);
+  Alcotest.(check bool) "no printer verdict" false (contains "holds" out)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -240,5 +305,8 @@ let suite =
       t "E13: traces complete, no drops" test_e13_telemetry;
       t "E15: fast path equivalent and faster" test_e15_fast_path;
       t "workload: heap churn" test_workload_heap_churn;
-      t "pna all fails on any failed verdict" test_all_ok_fold;
+      t "gate fold: any failed verdict fails" test_gate_fold;
+      t "gate registry: E1-E20 in order" test_registry_order;
+      t "gate registry: unknown id rejected" test_registry_unknown_id;
+      t "E18: empty forensics read FAILED" test_e18_empty_forensics_fails;
     ] )

@@ -4,7 +4,7 @@
     fault plans — re-run on the VM, plus the fixture's own integrity: a
     missing, extra or unparsable row fails the gate. The sanitized
     catalogue rows and the seeded 1000-genome stream are checked by the
-    E19 [vmgate]. *)
+    E19 gate ([pna gate E19]). *)
 
 module VmGate = Pna_gen.Vmgate
 
