@@ -70,8 +70,10 @@ let micro_group =
    scaffolding (~hundreds of ns on small hosts) does not swamp the
    ~10 ns accessors being measured; divide by the batch size in the name
    for a per-op figure. The *_bytepath twins run the identical batch on
-   a space with a no-op observer armed, which forces every access down
-   the per-byte reference path — the before/after of the fast path. *)
+   a space with an identity chaos hook armed, which forces every access
+   down the per-byte reference path without changing a byte — the
+   before/after of the fast path. (An observer no longer does: it sees
+   whole spans on the fast path.) *)
 
 let mk_bench_vmem () =
   let open Pna_vmem in
@@ -81,7 +83,7 @@ let mk_bench_vmem () =
 
 let mk_bytepath_vmem () =
   let m = mk_bench_vmem () in
-  Pna_vmem.Vmem.set_observer m (Some (fun ~access:_ ~addr:_ ~taint:_ -> ()));
+  Pna_vmem.Vmem.set_chaos m (Some (fun ~access:_ ~addr:_ ~byte -> byte));
   m
 
 let u32_mix m () =

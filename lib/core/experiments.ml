@@ -1035,7 +1035,7 @@ let e14_clean () =
     ]
 
 (* Overhead: E13's estimator, whose production pass already carries
-   the unattached observer hook on every checked byte access — the cost
+   the unattached observer hook on every checked access — the cost
    this gate bounds at 5%. The enabled ratio (oracle attached vs not,
    same driver path, same estimator) is reported for scale but not
    gated: shadow lookups on every access are the price of the oracle. *)
@@ -1095,10 +1095,10 @@ module Vmem = Pna_vmem.Vmem
 module Segment = Pna_vmem.Segment
 module Perm = Pna_vmem.Perm
 
-(* A hook that observes nothing: arming it disables every Vmem fast path
-   (the gate requires no observer) without perturbing a single byte, so
-   the same prepared scenario can be driven down both paths. *)
-let byte_path_observer : Vmem.access_hook = fun ~access:_ ~addr:_ ~taint:_ -> ()
+(* A chaos hook that perturbs nothing: arming it disables every Vmem
+   fast path (the gate requires no chaos hook) without changing a single
+   byte, so the same loop can be driven down both paths. *)
+let byte_path_chaos : Vmem.chaos_hook = fun ~access:_ ~addr:_ ~byte -> byte
 
 type e15_equiv_row = {
   fq_scenario : string;
@@ -1113,7 +1113,7 @@ let e15_equiv_row_ok r = r.fq_same_outcome && r.fq_same_verdict && r.fq_same_acc
 
 type e15_speed = {
   fs_fast_ns : float;  (** per memory op, u32-heavy loop, fast path *)
-  fs_byte_ns : float;  (** same loop with the no-op observer armed *)
+  fs_byte_ns : float;  (** same loop with the identity chaos hook armed *)
   fs_ratio : float;  (** byte / fast — the live fast-path payoff *)
 }
 
@@ -1136,10 +1136,13 @@ type e15_report = {
 
 (* Fast path vs byte path: every catalogue attack under defenses off and
    fully on, driven twice from the same prepared image — once plain (fast
-   paths engage wherever an access sits in one segment), once with the
-   no-op observer armed (every access takes the per-byte reference
-   path). Outcomes must be structurally identical and the access
-   accounting deltas must match byte for byte. *)
+   paths engage wherever an access sits in one segment), once supervised
+   under an empty fault plan, whose identity chaos hook sends every
+   access down the per-byte reference path. The supervisor arms that
+   hook after its rewind; a hook armed before [run_prepared] would be
+   cleared by the rewind and both sides would take the fast path.
+   Outcomes must be structurally identical and the access accounting
+   deltas must match byte for byte. *)
 let e15_equivalence () =
   List.concat_map
     (fun (a : Catalog.t) ->
@@ -1156,30 +1159,38 @@ let e15_equivalence () =
           let delta (r0, w0, t0, f0) (r1, w1, t1, f1) =
             (r1 - r0, w1 - w0, t1 - t0, f1 - f0)
           in
-          let run () =
+          let with_delta run =
             let before = sample () in
-            let r = Driver.run_prepared ~max_steps:e12_budget p in
+            let r = run () in
             (r, delta before (sample ()))
           in
-          Vmem.set_observer mem None;
-          let fast, fast_d = run () in
-          Vmem.set_observer mem (Some byte_path_observer);
-          let byte, byte_d = run () in
-          Vmem.set_observer mem None;
+          let (fast_o, fast_v), fast_d =
+            with_delta (fun () ->
+                let r = Driver.run_prepared ~max_steps:e12_budget p in
+                (r.Driver.outcome, r.Driver.verdict))
+          in
+          let (byte_o, byte_v), byte_d =
+            with_delta (fun () ->
+                let s =
+                  Driver.supervise ~config ~max_steps:e12_budget
+                    ~reload:(fun () -> Driver.reset p)
+                    ~plan:(Plan.empty 0) a
+                in
+                (s.Driver.sv_outcome, s.Driver.sv_verdict))
+          in
           {
             fq_scenario = a.Catalog.id;
             fq_config = config.Config.name;
-            fq_same_outcome = fast.Driver.outcome = byte.Driver.outcome;
+            fq_same_outcome = fast_o = byte_o;
             fq_same_verdict =
-              fast.Driver.verdict.Catalog.success
-              = byte.Driver.verdict.Catalog.success;
+              fast_v.Catalog.success = byte_v.Catalog.success;
             fq_same_accounting = fast_d = byte_d;
           })
         [ Config.none; Config.full ])
     All.attacks
 
 (* The live u32-heavy microbenchmark: the same mixed read/write loop
-   timed on the fast path and then with the no-op observer forcing the
+   timed on the fast path and then with the identity chaos hook forcing the
    per-byte path. Unlike the bench harness numbers this ratio has no
    per-call scaffolding in it — it is the payoff the interpreter's inner
    loop actually sees. *)
@@ -1207,9 +1218,9 @@ let e15_speed ?(iters = 400_000) () =
   in
   let per_op s = s *. 1e9 /. float_of_int (2 * iters) in
   let fast_s = best loop in
-  Vmem.set_observer v (Some byte_path_observer);
+  Vmem.set_chaos v (Some byte_path_chaos);
   let byte_s = best loop in
-  Vmem.set_observer v None;
+  Vmem.set_chaos v None;
   {
     fs_fast_ns = per_op fast_s;
     fs_byte_ns = per_op byte_s;
@@ -1772,15 +1783,29 @@ type e18_forensic_row = {
   fr_match : bool;
 }
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* Bundles go to [dir] when given, and are left there for the caller;
+   otherwise to a per-process temp directory, removed once every bundle
+   has been read back. *)
 let e18_forensics ?dir () =
-  let dir =
+  let own, dir =
     match dir with
-    | Some d -> d
+    | Some d -> (false, d)
     | None ->
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Fmt.str "pna-e18-forensics-%d" (Unix.getpid ()))
+      ( true,
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Fmt.str "pna-e18-forensics-%d" (Unix.getpid ())) )
   in
+  Fun.protect
+    ~finally:(fun () -> if own && Sys.file_exists dir then rm_rf dir)
+  @@ fun () ->
   List.map
     (fun (a : Catalog.t) ->
       let r, _session, bundle = Driver.run_forensic ~dir a in

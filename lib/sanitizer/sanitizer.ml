@@ -1,9 +1,10 @@
 (** PNASan shadow-memory implementation. See the interface for the model.
 
     The shadow is one byte of state per simulated byte, stored per
-    segment. Lookup mirrors [Vmem.find_segment]: a linear scan over the
-    handful of mapped segments, which is the same cost the checked
-    accessors already pay. Range writes (poison/unpoison) never look up
+    segment. Lookup mirrors [Vmem]'s hot-segment cache: the last shadow
+    hit is tried first, then a linear scan over the handful of mapped
+    segments. The observer sees whole access spans and checks each with
+    one scan of its shadow. Range writes (poison/unpoison) never look up
     per byte: they clip the range against each shadow once. *)
 
 module Vmem = Pna_vmem.Vmem
@@ -54,6 +55,7 @@ type shadow = {
 type t = {
   mem : Vmem.t;
   mutable shadows : shadow list;
+  mutable hit : shadow;  (* last shadow an access fell in *)
   mutable sync_id : int;
       (* 0, or the snapshot token every clean shadow page equals *)
   mutable cow : bool;
@@ -143,19 +145,31 @@ let pp_violation ppf v =
     (if v.v_scenario = "" then "" else " scenario=" ^ v.v_scenario)
     (if v.v_site = "" then "" else " at " ^ v.v_site)
 
-let find_shadow t addr =
-  let rec go = function
-    | [] -> None
-    | sh :: rest ->
-      if addr >= sh.sh_base && addr < sh.sh_base + sh.sh_size then Some sh
-      else go rest
-  in
-  go t.shadows
+(* The shadow wholly covering [addr, addr+len), or [no_shadow]. Never
+   allocates: the last hit is cached and the miss path is a plain walk. *)
+let no_shadow =
+  { sh_base = 0; sh_size = 0; sh_states = Bytes.empty;
+    sh_dirty = Cow.Bitmap.create 0 }
+
+let[@inline] covers sh addr len =
+  addr >= sh.sh_base && addr + len <= sh.sh_base + sh.sh_size
+
+let rec covering_in t addr len = function
+  | [] -> no_shadow
+  | sh :: rest ->
+    if covers sh addr len then begin
+      t.hit <- sh;
+      sh
+    end
+    else covering_in t addr len rest
+
+let covering t addr len =
+  if covers t.hit addr len then t.hit else covering_in t addr len t.shadows
 
 let state_at t addr =
-  match find_shadow t addr with
-  | None -> Addressable
-  | Some sh -> st_of_code (Bytes.get_uint8 sh.sh_states (addr - sh.sh_base))
+  let sh = covering t addr 1 in
+  if sh == no_shadow then Addressable
+  else st_of_code (Bytes.get_uint8 sh.sh_states (addr - sh.sh_base))
 
 let shadow_images t =
   List.map (fun sh -> (sh.sh_base, sh.sh_states)) t.shadows
@@ -278,25 +292,75 @@ let record t kind st access addr taint =
                ~labels:[ ("kind", kind_name kind) ]))
     end
 
-let on_access t ~access ~addr ~taint =
-  if t.exempt_depth = 0 && not t.is_sealed then
-    match find_shadow t addr with
-    | None -> ()
-    | Some sh ->
-      let off = addr - sh.sh_base in
-      let code = Bytes.get_uint8 sh.sh_states off in
-      if code <> 0 then begin
+(* A write over a stale tail re-initializes the byte: the leaked secret
+   is gone, so later reads are clean. *)
+let[@inline] resets st access = st = Stale_tail && access = Fault.Write
+
+(* Classify one byte at shadow offset [off]. *)
+let on_byte t sh off access addr taint =
+  let code = Bytes.get_uint8 sh.sh_states off in
+  if code <> 0 then begin
+    let st = st_of_code code in
+    (match classify st access ~taint with
+    | Some kind -> record t kind st access addr taint
+    | None -> ());
+    if resets st access then begin
+      Bytes.set_uint8 sh.sh_states off 0;
+      Cow.Bitmap.mark sh.sh_dirty off 1
+    end
+  end
+
+(* Bit [code] of a mask is set when a byte in that state makes [on_byte]
+   record or reset under the access; bytes in any other state are
+   no-ops for it. One mask per (access, taint), derived from [classify]
+   and [resets] so they cannot drift apart. *)
+let masks =
+  Array.init 6 (fun i ->
+      let access = [| Fault.Read; Fault.Write; Fault.Execute |].(i / 2)
+      and taint = i land 1 = 1 in
+      let m = ref 0 in
+      for code = 0 to 7 do
         let st = st_of_code code in
-        (match classify st access ~taint with
-        | Some kind -> record t kind st access addr taint
-        | None -> ());
-        (* A write over a stale tail re-initializes the byte: the leaked
-           secret is gone, so later reads are clean. *)
-        if st = Stale_tail && access = Fault.Write then begin
-          Bytes.set_uint8 sh.sh_states off 0;
-          Cow.Bitmap.mark sh.sh_dirty off 1
-        end
-      end
+        if classify st access ~taint <> None || resets st access then
+          m := !m lor (1 lsl code)
+      done;
+      !m)
+
+let[@inline] mask access taint =
+  masks.((match access with Fault.Read -> 0 | Fault.Write -> 2 | Fault.Execute -> 4)
+         + Bool.to_int taint)
+
+(* No byte of [states[off, stop)] is in a state set in [m]. *)
+let rec inert states m off stop =
+  off >= stop
+  || ((m lsr Bytes.get_uint8 states off) land 1 = 0
+      && inert states m (off + 1) stop)
+
+(* The observer. A span the fast path reports lies inside one segment
+   and so inside at most one shadow (one per segment, built at attach);
+   its common case is one scan that finds no byte the access could flag
+   or reset. Any other span is classified byte by byte in address order,
+   exactly as one [len = 1] call per byte would be: same records, same
+   coalescing, same stale-tail resets. *)
+let on_access t ~access ~addr ~len ~taint =
+  if t.exempt_depth = 0 && not t.is_sealed then begin
+    let sh = covering t addr len in
+    if sh != no_shadow then begin
+      let off = addr - sh.sh_base in
+      if not (inert sh.sh_states (mask access taint) off (off + len)) then
+        for i = 0 to len - 1 do
+          on_byte t sh (off + i) access (addr + i) taint
+        done
+    end
+    else if len > 1 then
+      (* Outside every shadow, e.g. in a segment mapped after attach,
+         which has none: each byte finds its own shadow, if any. *)
+      for i = 0 to len - 1 do
+        let a = addr + i in
+        let sh = covering t a 1 in
+        if sh != no_shadow then on_byte t sh (a - sh.sh_base) access a taint
+      done
+  end
 
 let attach ?(scenario = "") mem =
   let shadows =
@@ -314,6 +378,7 @@ let attach ?(scenario = "") mem =
     {
       mem;
       shadows;
+      hit = no_shadow;
       sync_id = 0;
       cow = true;
       scenario;
@@ -327,7 +392,8 @@ let attach ?(scenario = "") mem =
       on_transition = None;
     }
   in
-  Vmem.set_observer mem (Some (fun ~access ~addr ~taint -> on_access t ~access ~addr ~taint));
+  Vmem.set_observer mem
+    (Some (fun ~access ~addr ~len ~taint -> on_access t ~access ~addr ~len ~taint));
   t
 
 let detach t = Vmem.set_observer t.mem None

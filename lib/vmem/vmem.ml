@@ -14,10 +14,12 @@
     and chaos dispatch, trace record per byte — and is the semantic
     reference. The {e fast path} services a multi-byte access in one
     step against the segment's backing [Bytes], and engages only when
-    (a) no chaos hook, no observer and no write trace is armed, and
-    (b) the whole range lies inside one segment with the required
-    permission. Anything else — straddles, unmapped gaps, protection
-    boundaries, armed hooks — falls back to the byte path, so fault
+    (a) no chaos hook and no write trace is armed, and (b) the whole
+    range lies inside one segment with the required permission. An
+    armed observer does not disable it: the fast path reports the whole
+    span to the observer in one call, the byte path one byte per call.
+    Anything else — straddles, unmapped gaps, protection boundaries,
+    chaos, the trace — falls back to the byte path, so fault
     constructors, fault addresses, sanitizer observations, taint
     propagation and chaos injection are bit-identical either way. *)
 
@@ -29,11 +31,16 @@ type write_record = { w_addr : int; w_len : int; w_tag : string }
     pokes bypass it. *)
 type chaos_hook = access:Fault.access -> addr:int -> byte:int -> int
 
-(** Observation hook: called on every checked byte access after the
-    permission check succeeds. Unlike {!chaos_hook} it cannot perturb the
-    byte; the sanitizer uses it to classify accesses against its shadow
-    map. Loader pokes and taint-metadata queries bypass it. *)
-type access_hook = access:Fault.access -> addr:int -> taint:bool -> unit
+(** Observation hook: called once per checked access span
+    [[addr, addr+len)] after the permission check succeeds for all of
+    it, before the bytes move — once per span on the fast path, once
+    per byte ([len = 1]) on the byte path. [taint] is the taint every
+    byte of the span is written with ([false] for reads). Unlike
+    {!chaos_hook} it cannot perturb the bytes; the sanitizer uses it to
+    classify accesses against its shadow map. Loader pokes and
+    taint-metadata queries bypass it. *)
+type access_hook =
+  access:Fault.access -> addr:int -> len:int -> taint:bool -> unit
 
 (* Monotonic access accounting, one row per segment kind. Deliberately
    plain mutable ints: the accessors below are the simulator's hottest
@@ -273,7 +280,7 @@ let read_u8 t addr =
   row.a_reads <- row.a_reads + 1;
   (match t.observer with
   | None -> ()
-  | Some f -> f ~access:Fault.Read ~addr ~taint:false);
+  | Some f -> f ~access:Fault.Read ~addr ~len:1 ~taint:false);
   let b = Segment.get_byte seg addr in
   match t.chaos with
   | None -> b
@@ -290,7 +297,7 @@ let write_u8 ?(tag = "") ?(taint = false) t addr v =
   if taint then row.a_taint_writes <- row.a_taint_writes + 1;
   (match t.observer with
   | None -> ()
-  | Some f -> f ~access:Fault.Write ~addr ~taint);
+  | Some f -> f ~access:Fault.Write ~addr ~len:1 ~taint);
   let v =
     match t.chaos with
     | None -> v
@@ -344,45 +351,56 @@ let seg_span t addr len access =
     seg
   | _ -> None
 
-(* Fast-path gate: only when no chaos hook, no observer and no write
-   trace is armed may an access skip the per-byte dispatch. *)
-let[@inline] quiet t =
-  t.chaos == None && t.observer == None && not t.trace_enabled
+(* Fast-path gate: only when no chaos hook and no write trace is armed
+   may an access skip the per-byte dispatch. Both act per byte; the
+   observer takes whole spans ([observe]). *)
+let[@inline] quiet t = t.chaos == None && not t.trace_enabled
 
 let[@inline] fast_span t addr len access =
   if quiet t then seg_span t addr len access else None
 
 let[@inline] taint_char taint = if taint then '\001' else '\000'
 
-let[@inline] bump_reads t (seg : Segment.t) n =
+(* Account a fast-path span on its segment's row and report it to the
+   observer in one call: after [seg_span] proved the whole span
+   permitted, before its bytes move — the point at which the byte path
+   reports each of its bytes. *)
+let[@inline] span_read t (seg : Segment.t) addr n =
   let row = t.stats.rows.(Segment.kind_index seg.Segment.kind) in
-  row.a_reads <- row.a_reads + n
+  row.a_reads <- row.a_reads + n;
+  match t.observer with
+  | None -> ()
+  | Some f -> f ~access:Fault.Read ~addr ~len:n ~taint:false
 
-let[@inline] bump_writes t (seg : Segment.t) n ~tainted =
+let[@inline] span_write t (seg : Segment.t) addr n ~taint =
   let row = t.stats.rows.(Segment.kind_index seg.Segment.kind) in
   row.a_writes <- row.a_writes + n;
-  if tainted > 0 then row.a_taint_writes <- row.a_taint_writes + tainted
+  if taint then row.a_taint_writes <- row.a_taint_writes + n;
+  match t.observer with
+  | None -> ()
+  | Some f -> f ~access:Fault.Write ~addr ~len:n ~taint
 
 (* Shadow the byte-path [read_u8]/[write_u8] above with fast-span
    variants. The byte path stays the fallback — and the reference
    semantics — for straddles (impossible at width 1, but unmapped or
-   protected bytes land there) and armed hooks. Accounting is
-   identical: one read/write bump on the segment's row, taint splat,
-   and no write record (the trace forces the byte path). *)
+   protected bytes land there), a chaos hook and the trace. Accounting
+   and observation are identical: one read/write bump on the segment's
+   row and one observer call, taint splat, and no write record (the
+   trace forces the byte path). *)
 let read_u8_byte = read_u8
 let write_u8_byte = write_u8
 
 let read_u8 t addr =
   match fast_span t addr 1 Fault.Read with
   | Some seg ->
-    bump_reads t seg 1;
+    span_read t seg addr 1;
     Char.code (Bytes.unsafe_get seg.Segment.bytes (addr - seg.Segment.base))
   | None -> read_u8_byte t addr
 
 let write_u8 ?(tag = "") ?(taint = false) t addr v =
   match fast_span t addr 1 Fault.Write with
   | Some seg ->
-    bump_writes t seg 1 ~tainted:(if taint then 1 else 0);
+    span_write t seg addr 1 ~taint;
     let off = addr - seg.Segment.base in
     Bytes.unsafe_set seg.Segment.bytes off (Char.unsafe_chr (v land 0xff));
     Bytes.unsafe_set seg.Segment.taint off (taint_char taint);
@@ -392,14 +410,14 @@ let write_u8 ?(tag = "") ?(taint = false) t addr v =
 let read_u16 t addr =
   match fast_span t addr 2 Fault.Read with
   | Some seg ->
-    bump_reads t seg 2;
+    span_read t seg addr 2;
     Bytes.get_uint16_le seg.Segment.bytes (addr - seg.Segment.base)
   | None -> read_uN t addr 2
 
 let write_u16 ?tag ?(taint = false) t addr v =
   match fast_span t addr 2 Fault.Write with
   | Some seg ->
-    bump_writes t seg 2 ~tainted:(if taint then 2 else 0);
+    span_write t seg addr 2 ~taint;
     let off = addr - seg.Segment.base in
     Bytes.set_uint16_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 2 (taint_char taint);
@@ -409,7 +427,7 @@ let write_u16 ?tag ?(taint = false) t addr v =
 let read_u32 t addr =
   match fast_span t addr 4 Fault.Read with
   | Some seg ->
-    bump_reads t seg 4;
+    span_read t seg addr 4;
     Int32.to_int (Bytes.get_int32_le seg.Segment.bytes (addr - seg.Segment.base))
     land 0xffffffff
   | None -> read_uN t addr 4
@@ -417,7 +435,7 @@ let read_u32 t addr =
 let write_u32 ?tag ?(taint = false) t addr v =
   match fast_span t addr 4 Fault.Write with
   | Some seg ->
-    bump_writes t seg 4 ~tainted:(if taint then 4 else 0);
+    span_write t seg addr 4 ~taint;
     let off = addr - seg.Segment.base in
     Bytes.set_int32_le seg.Segment.bytes off (Int32.of_int v);
     Bytes.fill seg.Segment.taint off 4 (taint_char taint);
@@ -427,7 +445,7 @@ let write_u32 ?tag ?(taint = false) t addr v =
 let read_u64 t addr =
   match fast_span t addr 8 Fault.Read with
   | Some seg ->
-    bump_reads t seg 8;
+    span_read t seg addr 8;
     Bytes.get_int64_le seg.Segment.bytes (addr - seg.Segment.base)
   | None ->
     let lo = Int64.of_int (read_uN t addr 4) in
@@ -437,7 +455,7 @@ let read_u64 t addr =
 let write_u64 ?tag ?(taint = false) t addr v =
   match fast_span t addr 8 Fault.Write with
   | Some seg ->
-    bump_writes t seg 8 ~tainted:(if taint then 8 else 0);
+    span_write t seg addr 8 ~taint;
     let off = addr - seg.Segment.base in
     Bytes.set_int64_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 8 (taint_char taint);
@@ -517,23 +535,35 @@ let blit ?(tag = "blit") t ~src ~dst ~len =
   match spans with
   | Some (sseg, dseg) ->
     let soff = src - sseg.Segment.base and doff = dst - dseg.Segment.base in
+    let staint = sseg.Segment.taint in
+    (* counted on the source before the copy: an overlapping copy
+       rewrites it *)
+    let tainted = ref 0 in
+    for i = soff to soff + len - 1 do
+      if Bytes.unsafe_get staint i <> '\000' then incr tainted
+    done;
+    span_read t sseg src len;
+    (* The write carries the copied taint: one span when it is uniform,
+       else one byte at a time with each source byte's taint, as the
+       byte path reports it. *)
+    if !tainted = 0 || !tainted = len then
+      span_write t dseg dst len ~taint:(!tainted > 0)
+    else
+      for i = 0 to len - 1 do
+        span_write t dseg (dst + i) 1
+          ~taint:(Bytes.unsafe_get staint (soff + i) <> '\000')
+      done;
     (* Bytes.blit is memmove: both copies tolerate src/dst overlap inside
        one segment, matching the buffered byte path. *)
     Bytes.blit sseg.Segment.bytes soff dseg.Segment.bytes doff len;
-    Bytes.blit sseg.Segment.taint soff dseg.Segment.taint doff len;
-    Segment.mark_dirty dseg doff len;
-    let tainted = ref 0 in
-    for i = doff to doff + len - 1 do
-      if Bytes.unsafe_get dseg.Segment.taint i <> '\000' then incr tainted
-    done;
-    bump_reads t sseg len;
-    bump_writes t dseg len ~tainted:!tainted
+    Bytes.blit staint soff dseg.Segment.taint doff len;
+    Segment.mark_dirty dseg doff len
   | None -> blit_bytepath ~tag t ~src ~dst ~len
 
 let fill ?(tag = "fill") ?(taint = false) t ~dst ~len v =
   match fast_span t dst len Fault.Write with
   | Some seg when len > 0 ->
-    bump_writes t seg len ~tainted:(if taint then len else 0);
+    span_write t seg dst len ~taint;
     let off = dst - seg.Segment.base in
     Bytes.fill seg.Segment.bytes off len (Char.chr (v land 0xff));
     Bytes.fill seg.Segment.taint off len (taint_char taint);
@@ -547,7 +577,7 @@ let write_bytes ?(tag = "blit") ?(taint = false) t addr s =
   let len = String.length s in
   match fast_span t addr len Fault.Write with
   | Some seg when len > 0 ->
-    bump_writes t seg len ~tainted:(if taint then len else 0);
+    span_write t seg addr len ~taint;
     let off = addr - seg.Segment.base in
     Bytes.blit_string s 0 seg.Segment.bytes off len;
     Bytes.fill seg.Segment.taint off len (taint_char taint);
@@ -587,10 +617,10 @@ let read_cstring ?(max_len = 4096) t addr =
       (match nul_at 0 with
       | d when d >= 0 ->
         (* the terminating NUL is read (and counted) but not returned *)
-        bump_reads t seg (d + 1);
+        span_read t seg addr (d + 1);
         Bytes.sub_string bytes off d
       | _ when avail >= max_len ->
-        bump_reads t seg max_len;
+        span_read t seg addr max_len;
         Bytes.sub_string bytes off max_len
       | _ ->
         (* no NUL before the segment ends: the byte path decides whether
@@ -603,7 +633,7 @@ let read_cstring ?(max_len = 4096) t addr =
 let read_bytes t addr len =
   match fast_span t addr len Fault.Read with
   | Some seg when len > 0 ->
-    bump_reads t seg len;
+    span_read t seg addr len;
     Bytes.sub_string seg.Segment.bytes (addr - seg.Segment.base) len
   | _ ->
     let b = Buffer.create (max 16 (min len 4096)) in
@@ -659,7 +689,7 @@ let tainted_bytes t addr len =
 let read_u8_taint t addr =
   match fast_span t addr 1 Fault.Read with
   | Some seg ->
-    bump_reads t seg 1;
+    span_read t seg addr 1;
     let off = addr - seg.Segment.base in
     (Char.code (Bytes.unsafe_get seg.Segment.bytes off) lsl 1)
     lor (if Bytes.unsafe_get seg.Segment.taint off <> '\000' then 1 else 0)
@@ -670,7 +700,7 @@ let read_u8_taint t addr =
 let read_u16_taint t addr =
   match fast_span t addr 2 Fault.Read with
   | Some seg ->
-    bump_reads t seg 2;
+    span_read t seg addr 2;
     let off = addr - seg.Segment.base in
     let taint = seg.Segment.taint in
     (Bytes.get_uint16_le seg.Segment.bytes off lsl 1)
@@ -687,7 +717,7 @@ let read_u16_taint t addr =
 let read_u32_taint t addr =
   match fast_span t addr 4 Fault.Read with
   | Some seg ->
-    bump_reads t seg 4;
+    span_read t seg addr 4;
     let off = addr - seg.Segment.base in
     let taint = seg.Segment.taint in
     (Int32.to_int (Bytes.get_int32_le seg.Segment.bytes off)
@@ -708,7 +738,7 @@ let read_u32_taint t addr =
 let read_f64_taint t addr =
   match fast_span t addr 8 Fault.Read with
   | Some seg ->
-    bump_reads t seg 8;
+    span_read t seg addr 8;
     let off = addr - seg.Segment.base in
     let taint = seg.Segment.taint in
     let rec any i = i < 8 && (Bytes.unsafe_get taint (off + i) <> '\000' || any (i + 1)) in

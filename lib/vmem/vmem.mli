@@ -7,12 +7,13 @@
     derives from attacker input and travels with copies.
 
     Scalar accessors take a fast path — one segment lookup, one
-    permission check, one stats bump, one taint splat against the
-    segment's backing bytes — whenever the whole range lies inside one
-    segment and no chaos hook, observer or write trace is armed. Any
-    other case (straddle, unmapped gap, protection boundary, armed
-    hook) falls back to the per-byte reference path, so faults,
-    observations, taint and chaos injection are bit-identical. *)
+    permission check, one stats bump, one observer call, one taint
+    splat against the segment's backing bytes — whenever the whole
+    range lies inside one segment and no chaos hook or write trace is
+    armed. Any other case (straddle, unmapped gap, protection boundary,
+    chaos hook, trace) falls back to the per-byte reference path, so
+    faults, observations, taint and chaos injection are
+    bit-identical. *)
 
 type write_record = { w_addr : int; w_len : int; w_tag : string }
 
@@ -63,8 +64,8 @@ val of_signed32 : int -> int
     one resolution for the taint query and another for the read.
     Accounting and semantics are exactly [read_uN] + [range_tainted]:
     reads are bumped by the access width, the taint scan is unaccounted,
-    and when the fast path does not apply (hooks armed, straddling span)
-    the two calls are made in that order. The integer variants return
+    and when the fast path does not apply (chaos or trace armed,
+    straddling span) the two calls are made in that order. The integer variants return
     [bits lsl 1 lor taint] — packed in one immediate so the hot load
     path stays allocation-free. *)
 
@@ -122,11 +123,18 @@ val set_chaos : t -> chaos_hook option -> unit
 
 (** {1 Access observation} *)
 
-type access_hook = access:Fault.access -> addr:int -> taint:bool -> unit
-(** Called on every checked byte access after the permission check
-    succeeds, before the byte moves. Cannot perturb the access; the
-    sanitizer uses it to classify accesses against its shadow map.
-    Loader pokes and taint-metadata queries bypass it. *)
+type access_hook =
+  access:Fault.access -> addr:int -> len:int -> taint:bool -> unit
+(** Called once per checked access span [[addr, addr+len)] after the
+    permission check succeeds for all of it, before the bytes move.
+    The fast path makes one call per span, which always lies inside one
+    segment; the byte path makes one call per byte ([len = 1]). Arming
+    it does not disable the fast path — a chaos hook or the write trace
+    does. [taint] is the taint the span is written with ([false] for
+    reads); a block copy whose source taint is mixed reports its write
+    one byte at a time, so every call carries one taint. Cannot perturb
+    the access; the sanitizer uses it to classify accesses against its
+    shadow map. Loader pokes and taint-metadata queries bypass it. *)
 
 val set_observer : t -> access_hook option -> unit
 

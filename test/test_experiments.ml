@@ -285,6 +285,19 @@ let test_e18_empty_forensics_fails () =
     (contains "=> E18 FAILED" out);
   Alcotest.(check bool) "no printer verdict" false (contains "holds" out)
 
+(* A default forensic sweep removes the bundle directory it created
+   once every bundle has been read back. *)
+let test_e18_forensics_cleans_up () =
+  let own =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "pna-e18-forensics-%d" (Unix.getpid ()))
+  in
+  let rows = E.e18_forensics () in
+  Alcotest.(check bool) "bundles read back" true
+    (rows <> [] && List.for_all (fun r -> r.E.fr_match) rows);
+  Alcotest.(check bool) "no directory left" false (Sys.file_exists own)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "experiments",
@@ -309,4 +322,5 @@ let suite =
       t "gate registry: E1-E20 in order" test_registry_order;
       t "gate registry: unknown id rejected" test_registry_unknown_id;
       t "E18: empty forensics read FAILED" test_e18_empty_forensics_fails;
+      t "E18: default forensics leave no directory" test_e18_forensics_cleans_up;
     ] )

@@ -329,6 +329,142 @@ let prop_range_writes_match_model =
       let ok_rewind2 = rewind () in
       ok_pre && ok_mid && ok_rewind1 && ok_post && ok_rewind2)
 
+(* ---- span-granular observation against the per-byte reference ---- *)
+
+(* An op stream over a sanitized address space: poisons of every state
+   interleaved with checked accesses of every shape. Accesses land on
+   the same four segments as above, so they straddle the adjacent pair,
+   fall into the unmapped gaps and run off both ends of the window. *)
+type span_op =
+  | Poison_op of range_op
+  | Read of int * int  (* width 1/2/4/8, addr *)
+  | Read_taint of int * int  (* width 1/2/4/8, addr *)
+  | Write of int * int * int * bool  (* width, addr, value, taint *)
+  | Blit of int * int * int  (* src, dst, len *)
+  | Fill of int * int * bool
+  | Write_bytes of int * string * bool
+  | Read_bytes of int * int
+  | Cstring of int * int  (* addr, max_len *)
+  | Set_taint of int * int * bool
+
+let pp_span_op ppf = function
+  | Poison_op op -> pp_range_op ppf op
+  | Read (w, a) -> Fmt.pf ppf "read%d 0x%x" (8 * w) a
+  | Read_taint (w, a) -> Fmt.pf ppf "read%d_taint 0x%x" (8 * w) a
+  | Write (w, a, v, t) -> Fmt.pf ppf "write%d 0x%x %d taint=%b" (8 * w) a v t
+  | Blit (s, d, n) -> Fmt.pf ppf "blit 0x%x -> 0x%x +%d" s d n
+  | Fill (d, n, t) -> Fmt.pf ppf "fill 0x%x+%d taint=%b" d n t
+  | Write_bytes (a, s, t) -> Fmt.pf ppf "write_bytes 0x%x %S taint=%b" a s t
+  | Read_bytes (a, n) -> Fmt.pf ppf "read_bytes 0x%x+%d" a n
+  | Cstring (a, n) -> Fmt.pf ppf "read_cstring 0x%x max %d" a n
+  | Set_taint (a, n, t) -> Fmt.pf ppf "set_taint 0x%x+%d %b" a n t
+
+let span_op_gen =
+  QCheck.Gen.(
+    let addr = int_range (window_lo - 0x10) (window_hi + 0x10) in
+    (* near the segment edges: 0x1300 joins the adjacent pair *)
+    let edge =
+      map2 ( + ) (oneofl [ 0x1000; 0x1300; 0x1580; 0x1700; 0x1a00 ])
+        (int_range (-12) 12)
+    in
+    let addr = frequency [ (3, addr); (2, edge) ] in
+    let width = oneofl [ 1; 2; 4; 8 ] in
+    let len = int_range 0 48 in
+    let poison =
+      map3
+        (fun a n st -> Poison_op (Poison (a, n, st)))
+        addr (int_range 1 0x100) (oneofl all_states)
+    in
+    frequency
+      [
+        (4, poison);
+        (1, map (fun op -> Poison_op op) range_op_gen);
+        (3, map2 (fun w a -> Read (w, a)) width addr);
+        (2, map2 (fun w a -> Read_taint (w, a)) width addr);
+        ( 4,
+          map3
+            (fun (w, a) v t -> Write (w, a, v, t))
+            (pair width addr) (int_bound 0xffffffff) bool );
+        (* overlapping copies half the time *)
+        ( 3,
+          map3
+            (fun s d n -> Blit (s, d, n))
+            addr
+            (frequency [ (1, addr); (1, return 0) ])
+            len
+          |> map (function
+               | Blit (s, 0, n) -> Blit (s, s + (n mod 17) - 8, n)
+               | op -> op) );
+        (2, map3 (fun d n t -> Fill (d, n, t)) addr len bool);
+        ( 2,
+          map3
+            (fun a s t -> Write_bytes (a, s, t))
+            addr
+            (string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (int_range 0 24))
+            bool );
+        (1, map2 (fun a n -> Read_bytes (a, n)) addr len);
+        (2, map2 (fun a n -> Cstring (a, n)) addr (int_range 0 32));
+        (2, map3 (fun a n t -> Set_taint (a, n, t)) addr len bool);
+      ])
+
+let span_apply m s = function
+  | Poison_op op -> apply_op s op; ""
+  | Read (1, a) -> string_of_int (Vmem.read_u8 m a)
+  | Read (2, a) -> string_of_int (Vmem.read_u16 m a)
+  | Read (4, a) -> string_of_int (Vmem.read_u32 m a)
+  | Read (_, a) -> Int64.to_string (Vmem.read_u64 m a)
+  | Read_taint (1, a) -> string_of_int (Vmem.read_u8_taint m a)
+  | Read_taint (2, a) -> string_of_int (Vmem.read_u16_taint m a)
+  | Read_taint (4, a) -> string_of_int (Vmem.read_u32_taint m a)
+  | Read_taint (_, a) ->
+    let f, t = Vmem.read_f64_taint m a in
+    Fmt.str "%Ld/%b" (Int64.bits_of_float f) t
+  | Write (1, a, v, taint) -> Vmem.write_u8 ~taint m a v; ""
+  | Write (2, a, v, taint) -> Vmem.write_u16 ~taint m a v; ""
+  | Write (4, a, v, taint) -> Vmem.write_u32 ~taint m a v; ""
+  | Write (_, a, v, taint) -> Vmem.write_u64 ~taint m a (Int64.of_int v); ""
+  | Blit (src, dst, len) -> Vmem.blit m ~src ~dst ~len; ""
+  | Fill (dst, len, taint) -> Vmem.fill ~taint m ~dst ~len 0x41; ""
+  | Write_bytes (a, str, taint) -> Vmem.write_bytes ~taint m a str; ""
+  | Read_bytes (a, len) -> Vmem.read_bytes m a len
+  | Cstring (a, max_len) -> Vmem.read_cstring ~max_len m a
+  | Set_taint (a, len, t) -> Vmem.set_taint m a len t; ""
+
+let span_outcome m s op =
+  match span_apply m s op with
+  | r -> "ok:" ^ r
+  | exception Fault.Fault f -> "fault:" ^ Fault.to_string f
+
+(* Everything the oracle and the accounting expose. *)
+let oracle_state m s =
+  ( San.violations s,
+    San.total s,
+    San.shadow_images s |> List.map (fun (b, st) -> (b, Bytes.to_string st)),
+    ( Vmem.total_reads m,
+      Vmem.total_writes m,
+      Vmem.total_taint_writes m,
+      Vmem.total_faults m ) )
+
+(* Two twins run the same stream: one quiet, so the observer sees whole
+   spans, and one with an identity chaos hook, which forces every access
+   down the per-byte path and so one observer call per byte. *)
+let prop_span_equals_bytewise =
+  QCheck.Test.make ~count:400
+    ~name:"oracle: span observation == per-byte observation"
+    QCheck.(
+      make
+        ~print:(fun ops -> Fmt.(str "%a" (Dump.list pp_span_op)) ops)
+        Gen.(list_size (int_range 1 40) span_op_gen))
+    (fun ops ->
+      let twin () =
+        let m = mk_multi_seg () in
+        (m, San.attach m)
+      in
+      let (qm, qs) = twin () and (bm, bs) = twin () in
+      Vmem.set_chaos bm (Some (fun ~access:_ ~addr:_ ~byte -> byte));
+      List.for_all (fun op -> span_outcome qm qs op = span_outcome bm bs op) ops
+      && oracle_state qm qs = oracle_state bm bs)
+
 (* ---- heap wiring: redzones, quarantine, double free ---- *)
 
 let mk_heap () =
@@ -535,6 +671,7 @@ let suite =
       t "snapshot/restore rewinds the oracle" test_snapshot_restore_rewinds_oracle;
       t "kind names round-trip" test_kind_names_roundtrip;
       QCheck_alcotest.to_alcotest prop_range_writes_match_model;
+      QCheck_alcotest.to_alcotest prop_span_equals_bytewise;
       t "heap shadow geometry" test_heap_shadow_geometry;
       t "use-after-free detected via quarantine" test_use_after_free_detected;
       t "quarantine bounded, evictions reusable"

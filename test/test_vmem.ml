@@ -239,8 +239,9 @@ let test_trace_survives_restore () =
     [ "before"; "before" ]
     (List.map (fun r -> r.Vmem.w_tag) (Vmem.trace m))
 
-(* armed hooks force the per-byte path: exactly one hook call per byte
-   accessed, as the pre-fast-path accessors behaved *)
+(* the observer sees every accessed byte exactly once: whole spans on a
+   quiet space, one byte per call when a chaos hook forces the per-byte
+   path; chaos and the trace still see one call per byte *)
 
 let bulk_ops m =
   Vmem.write_u32 m 0x1000 0xdeadbeef;
@@ -258,16 +259,30 @@ let bulk_ops m =
 let bulk_reads = 4 + 8 + 16 + 5 + 5
 let bulk_writes = 4 + 2 + 16 + 5 + 8
 
-let test_observer_bypasses_fast_path () =
-  let m = mk () in
-  let calls = ref 0 in
-  Vmem.set_observer m (Some (fun ~access:_ ~addr:_ ~taint:_ -> incr calls));
-  bulk_ops m;
-  Alcotest.(check int) "one observer call per byte" (bulk_reads + bulk_writes)
-    !calls;
-  Alcotest.(check int) "reads counted per byte" bulk_reads (Vmem.total_reads m);
-  Alcotest.(check int) "writes counted per byte" bulk_writes
-    (Vmem.total_writes m)
+let test_observer_covers_every_byte () =
+  let observed ~chaos =
+    let m = mk () in
+    if chaos then Vmem.set_chaos m (Some (fun ~access:_ ~addr:_ ~byte -> byte));
+    let calls = ref 0 and bytes = ref 0 in
+    Vmem.set_observer m
+      (Some
+         (fun ~access:_ ~addr:_ ~len ~taint:_ ->
+           incr calls;
+           bytes := !bytes + len));
+    bulk_ops m;
+    Alcotest.(check int) "reads counted per byte" bulk_reads (Vmem.total_reads m);
+    Alcotest.(check int) "writes counted per byte" bulk_writes
+      (Vmem.total_writes m);
+    (!calls, !bytes)
+  in
+  let calls, bytes = observed ~chaos:false in
+  Alcotest.(check int) "quiet: span lengths sum to the bytes accessed"
+    (bulk_reads + bulk_writes) bytes;
+  Alcotest.(check bool) "quiet: fewer calls than bytes" true (calls < bytes);
+  let calls, bytes = observed ~chaos:true in
+  Alcotest.(check int) "chaos: every byte observed" (bulk_reads + bulk_writes)
+    bytes;
+  Alcotest.(check int) "chaos: one call per byte" bytes calls
 
 let test_chaos_bypasses_fast_path () =
   let m = mk () in
@@ -296,7 +311,7 @@ let test_fast_path_accounting () =
   Alcotest.(check int) "fast-path writes" bulk_writes (Vmem.total_writes quiet)
 
 (* property: for any layout and operation sequence, the fast path and
-   the per-byte reference path (forced by a no-op observer) agree on
+   the per-byte reference path (forced by an identity chaos hook) agree on
    values, faults, final memory, taint and accounting *)
 
 type eq_op =
@@ -403,7 +418,7 @@ let prop_fast_equals_bytepath =
     (QCheck.make eq_gen) (fun (layout, ops) ->
       let fast = mk_eq_layout layout in
       let slow = mk_eq_layout layout in
-      Vmem.set_observer slow (Some (fun ~access:_ ~addr:_ ~taint:_ -> ()));
+      Vmem.set_chaos slow (Some (fun ~access:_ ~addr:_ ~byte -> byte));
       List.for_all (fun op -> eq_outcome fast op = eq_outcome slow op) ops
       && eq_state fast = eq_state slow)
 
@@ -411,17 +426,20 @@ let prop_fast_equals_bytepath =
    same segment bytes, taint and permissions (and shadow states when the
    oracle rides along) as a twin space running the full-copy reference
    path, through nested snapshot/restore, re-dirtying between rewinds,
-   and whichever write path (fast, straddling, per-byte under the
-   sanitizer's observer) did the dirtying *)
+   and whichever write path (fast, straddling, per-byte under a chaos
+   hook, with or without the sanitizer's observer) did the dirtying *)
 
 module San = Pna_sanitizer.Sanitizer
 
 (* fold sanitizer maintenance into the op stream, so shadow pages dirty
-   alongside the memory pages they shadow *)
+   alongside the memory pages they shadow; a stale tail is also reset by
+   the observer on the next write over it *)
 let shadow_mix sn = function
   | W8 (a, v, _) ->
     San.poison sn ~addr:a ~len:(1 + (v land 31))
-      (if v land 32 = 0 then San.Heap_redzone else San.Freed)
+      (if v land 32 = 0 then San.Heap_redzone
+       else if v land 64 = 0 then San.Freed
+       else San.Stale_tail)
   | Fill (d, l, _, _) -> San.unpoison sn ~addr:d ~len:l
   | SetTaint (a, l, _) -> San.poison sn ~addr:a ~len:l San.Stack_meta
   | _ -> ()
@@ -444,12 +462,17 @@ let prop_cow_restore_bitexact =
       let cow = mk_eq_layout layout in
       let full = mk_eq_layout layout in
       Vmem.set_cow full false;
-      (* half the cases attach the oracle: its observer forces every op
-         down the per-byte path, and its shadow map must rewind too *)
+      (* half the cases attach the oracle, whose shadow map must rewind
+         too; half of those also arm an identity chaos hook, so the
+         observer is fed one byte at a time instead of one span *)
       let sans =
         if layout land 1 = 0 then begin
           let sc = San.attach cow and sf = San.attach full in
           San.set_cow sf false;
+          if layout land 2 = 0 then
+            List.iter
+              (fun m -> Vmem.set_chaos m (Some (fun ~access:_ ~addr:_ ~byte -> byte)))
+              [ cow; full ];
           Some (sc, sf)
         end
         else None
@@ -540,7 +563,7 @@ let suite =
       t "trace ring bounded, drops counted" test_trace_ring_bounded;
       t "set_trace_cap validates and evicts" test_set_trace_cap;
       t "trace state survives restore" test_trace_survives_restore;
-      t "observer forces per-byte path" test_observer_bypasses_fast_path;
+      t "observer covers every byte" test_observer_covers_every_byte;
       t "chaos hook forces per-byte path" test_chaos_bypasses_fast_path;
       t "trace forces per-byte writes" test_trace_bypasses_fast_path;
       t "fast path counts like byte path" test_fast_path_accounting;
