@@ -324,14 +324,7 @@ let batch_cmd =
     if metrics then dump_metrics svc;
     Service.shutdown svc;
     if verify then begin
-      let sequential =
-        List.map
-          (fun (j : Service.job) ->
-            Service.reply_of_result
-              (Driver.run ~config:j.Service.j_config ?max_steps
-                 j.Service.j_attack))
-          js
-      in
+      let sequential = List.map Service.reference js in
       let strip (r : Service.reply) = { r with Service.r_cached = false } in
       let mismatches =
         List.filter

@@ -325,8 +325,6 @@ let thaw im =
     pr_restores = 0;
   }
 
-let image_sanitized im = im.im_sanitize
-
 (* --- supervised execution under a fault plan --- *)
 
 module Chaos = Pna_chaos.Chaos

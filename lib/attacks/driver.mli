@@ -138,8 +138,6 @@ val thaw : image -> prepared
     frozen snapshot once, and return it as a domain-local replica —
     byte-identical to the prepared value the image was frozen from. *)
 
-val image_sanitized : image -> bool
-
 (** {1 Supervised execution under a fault plan} *)
 
 type supervised = {

@@ -628,7 +628,7 @@ let e12_phase ~label ~jobs ~memo stream =
   Service.shutdown svc;
   phase
 
-let e12 ?(scale = [ 1; 2; 4 ]) () =
+let e12 () =
   (* determinism: whole catalogue, undefended and fully defended, pooled
      at 4 domains vs the sequential driver *)
   let verify_jobs =
@@ -636,14 +636,7 @@ let e12 ?(scale = [ 1; 2; 4 ]) () =
       ~configs:[ Config.none; Config.full ]
       ~max_steps:e12_budget ()
   in
-  let sequential =
-    List.map
-      (fun (j : Service.job) ->
-        Service.reply_of_result
-          (Driver.run ~config:j.Service.j_config ~max_steps:e12_budget
-             j.Service.j_attack))
-      verify_jobs
-  in
+  let sequential = List.map Service.reference verify_jobs in
   let svc = Service.create ~jobs:4 () in
   let pooled = Service.run_batch svc verify_jobs in
   Service.shutdown svc;
@@ -654,17 +647,8 @@ let e12 ?(scale = [ 1; 2; 4 ]) () =
   let stream = e12_stream ~repeats:24 in
   let cold = e12_phase ~label:"memo off" ~jobs:1 ~memo:false stream in
   let warm = e12_phase ~label:"memo on" ~jobs:1 ~memo:true stream in
-  (* domain scaling over the same stream, memoization off so the work is
-     real; requests/second here is hardware-honest, not asserted *)
-  let scaling =
-    List.map
-      (fun n ->
-        e12_phase ~label:(Fmt.str "%d domain%s" n (if n = 1 then "" else "s"))
-          ~jobs:n ~memo:false stream)
-      scale
-  in
   {
-    sr_phases = (cold :: warm :: scaling);
+    sr_phases = [ cold; warm ];
     sr_agree;
     sr_memo_speedup =
       (if warm.sp_seconds > 0. then cold.sp_seconds /. warm.sp_seconds
@@ -687,8 +671,7 @@ let pp_e12 ppf r =
   List.iter (fun p -> Fmt.pf ppf "%a@," pp_service_phase p) r.sr_phases;
   Fmt.pf ppf
     "=> pooled verdicts %s the sequential driver; memoization speeds the \
-     repeated benign stream %.1fx@,\
-     \   (domain scaling is hardware-dependent — see bench/main.exe service)@]"
+     repeated benign stream %.1fx@]"
     (if r.sr_agree then "match" else "DIVERGE FROM")
     r.sr_memo_speedup
 
@@ -1125,10 +1108,6 @@ type e15_scale_row = {
 
 type e15_report = {
   t15_rows : e15_equiv_row list;
-  t15_pool_agree : bool;
-      (** 4-domain pooled replies over the catalogue equal the sequential
-          driver's — same gate shape as E12, re-checked here because the
-          fast path and the sharded service both ride under it *)
   t15_speed : e15_speed;
   t15_scale : e15_scale_row list;
   t15_cores : int;  (** [Domain.recommended_domain_count] on this host *)
@@ -1247,26 +1226,8 @@ let e15_scaling ~repeats ~scale () =
     scale
 
 let e15 ?(iters = 400_000) ?(scale = [ 1; 2; 4 ]) () =
-  let verify_jobs =
-    Service.matrix_jobs
-      ~configs:[ Config.none; Config.full ]
-      ~max_steps:e12_budget ()
-  in
-  let sequential =
-    List.map
-      (fun (j : Service.job) ->
-        Service.reply_of_result
-          (Driver.run ~config:j.Service.j_config ~max_steps:e12_budget
-             j.Service.j_attack))
-      verify_jobs
-  in
-  let svc = Service.create ~jobs:4 () in
-  let pooled = Service.run_batch svc verify_jobs in
-  Service.shutdown svc;
-  let strip (r : Service.reply) = { r with Service.r_cached = false } in
   {
     t15_rows = e15_equivalence ();
-    t15_pool_agree = List.map strip pooled = List.map strip sequential;
     t15_speed = e15_speed ~iters ();
     t15_scale = e15_scaling ~repeats:16 ~scale ();
     t15_cores = Domain.recommended_domain_count ();
@@ -1287,11 +1248,9 @@ let pp_e15 ppf r =
   Fmt.pf ppf
     "fast path == byte path on %d/%d prepared runs (outcome, verdict, access \
      accounting)@,\
-     pooled (4 domains) %s the sequential driver@,\
      u32 loop: fast %.1f ns/op, byte path %.1f ns/op  (%.1fx, gate >= 3)@,"
     (List.length (List.filter e15_equiv_row_ok r.t15_rows))
     (List.length r.t15_rows)
-    (if r.t15_pool_agree then "matches" else "DIVERGES FROM")
     r.t15_speed.fs_fast_ns r.t15_speed.fs_byte_ns r.t15_speed.fs_ratio;
   List.iter
     (fun s ->
@@ -1467,9 +1426,10 @@ let e16_fuzz ~host ~port ~registry ~seed () =
         [ "magic"; "version"; "kind"; "oversize"; "crc"; "payload" ];
   }
 
-(* The in-process mirror of one wire request: exactly what the server's
-   service executes, minus the socket — the comparison point for the
-   verdict-equivalence half of the gate. *)
+(* The service-free reply to one wire request — the comparison point for
+   the verdict-equivalence half of the gate. The load generator requests
+   sanitize=false, so the job pins it too: a PNA_SANITIZE=1 test pass must
+   not skew the reference. *)
 let e16_expected_sig ~max_steps (s : Loadgen.spec) =
   match
     ( List.find_opt
@@ -1481,20 +1441,9 @@ let e16_expected_sig ~max_steps (s : Loadgen.spec) =
   with
   | Some attack, Some config ->
     let reply =
-      match s.Loadgen.s_chaos_seed with
-      | None ->
-        (* the load generator requests sanitize=false, so pin it here
-           too — the PNA_SANITIZE=1 test pass must not skew the mirror *)
-        Service.reply_of_result
-          (Driver.run ~config ~max_steps ~sanitize:false attack)
-      | Some seed ->
-        let p = Driver.prepare ~config attack in
-        let s =
-          Driver.supervise ~config ~max_steps
-            ~reload:(fun () -> Driver.reset p)
-            ~plan:(Plan.generate ~seed ()) attack
-        in
-        Service.reply_of_supervised ~chaos_seed:seed s
+      Service.reference
+        (Service.job ?chaos_seed:s.Loadgen.s_chaos_seed ~max_steps
+           ~sanitize:false ~config attack)
     in
     Some (Loadgen.signature (Nframe.rep_of_reply reply))
   | _ -> None
@@ -2048,7 +1997,6 @@ let e15_scale_ok ~cores rows =
 
 let e15_ok r =
   List.for_all e15_equiv_row_ok r.t15_rows
-  && r.t15_pool_agree
   && r.t15_speed.fs_ratio >= 3.0
   && e15_scale_ok ~cores:r.t15_cores r.t15_scale
 

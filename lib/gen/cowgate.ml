@@ -5,20 +5,22 @@
     bit-identical to the full-copy reference path. This gate drives
     every scenario three ways —
 
-    - a prepared machine rewinding over dirty pages (COW on, the
-      default),
+    - a prepared machine rewinding over dirty pages,
     - a replica thawed from the prepared machine's frozen image (the
       cross-domain sharing path: clean pages reference the image's
-      immutable backing), and
-    - a prepared machine with COW disabled ({!Pna_machine.Machine.set_cow}
-      [false]), which deep-copies on every snapshot and restore — the
-      reference semantics
+      immutable backing), both of which run the scenario twice (the
+      second run rewinds a dirtied machine — the path under test) and
+      are then rewound one final time, and
+    - the reference: a freshly thawed replica for every round and for
+      the final state. A fresh shell has no sync token and fresh
+      generation tokens, so its one restore takes the full-copy path at
+      every layer — segment pages, shadow pages, symbol and
+      vtable/global/literal tables — the same path every production
+      thaw runs
 
     — over the whole attack catalogue (defenses off and fully on, plain
-    and sanitized) and a seeded stream of
-    generated genomes. Each variant runs the scenario twice (the second
-    run rewinds a dirtied machine — the path under test) and is then
-    rewound one final time. Compared: the complete
+    and sanitized) and a seeded stream of generated genomes. Compared:
+    the complete
     {!Pna_attacks.Driver.result} of every round (outcome, verdict,
     sanitizer violations) and a digest of the rewound state — every
     mapped segment's contents, taint and permissions, plus the
@@ -79,20 +81,23 @@ let rounds = 2
 let result_key (r : Driver.result) =
   (r.Driver.outcome, r.Driver.verdict, r.Driver.violations)
 
-let drive ~max_steps p =
+(* [fresh ()] supplies the machine for each round and for the final
+   digest: the same one every time for the paths under test, a new thaw
+   every time for the reference. *)
+let drive ~max_steps fresh =
   let rs =
-    List.init rounds (fun _ -> result_key (Driver.run_prepared ~max_steps p))
+    List.init rounds (fun _ ->
+        result_key (Driver.run_prepared ~max_steps (fresh ())))
   in
-  (rs, state_digest (Driver.reset p))
+  (rs, state_digest (Driver.reset (fresh ())))
 
 let compare_paths ~max_steps ~config ~sanitize (a : Catalog.t) =
   let cow = Driver.prepare ~config ~sanitize a in
-  let replica = Driver.thaw (Driver.freeze cow) in
-  let reference = Driver.prepare ~config ~sanitize a in
-  Machine.set_cow (Driver.reset reference) false;
-  let r_ref, d_ref = drive ~max_steps reference in
-  let r_cow, d_cow = drive ~max_steps cow in
-  let r_rep, d_rep = drive ~max_steps replica in
+  let im = Driver.freeze cow in
+  let replica = Driver.thaw im in
+  let r_ref, d_ref = drive ~max_steps (fun () -> Driver.thaw im) in
+  let r_cow, d_cow = drive ~max_steps (fun () -> cow) in
+  let r_rep, d_rep = drive ~max_steps (fun () -> replica) in
   {
     c_id = a.Catalog.id;
     c_config = config.Config.name;
@@ -168,14 +173,14 @@ let pp_row ppf r =
     (if r.c_rewound then "" else "  [rewound state]")
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>E20 — copy-on-write rewinds == full-copy reference@,%s@,"
+  Fmt.pf ppf "@[<v>E20 — copy-on-write rewinds == fresh-replica reference@,%s@,"
     (String.make 100 '-');
   List.iter
     (fun r -> if not (row_ok r) then Fmt.pf ppf "%a@," pp_row r)
     t.c_rows;
   List.iter (fun r -> Fmt.pf ppf "%a@," pp_row r) t.c_genome_bad;
   Fmt.pf ppf
-    "catalogue: %d/%d path triples identical (COW, thawed replica, full copy: \
+    "catalogue: %d/%d path triples identical (COW, thawed replica, fresh replica: \
      results + rewound memory, taint, perms, shadow)@,\
      generated: %d genomes (seed %d), %d divergence(s)@]"
     (List.length (List.filter row_ok t.c_rows))

@@ -44,7 +44,6 @@ type t = {
   mutable tbl_gen : int;
       (* generation token over the four tables above; minted fresh at
          every mutation so [restore] can prove them unchanged *)
-  mutable cow : bool;  (* false forces full-copy restores at every layer *)
   mutable input_ints : int list;
   mutable input_strings : string list;
   mutable output : string list;  (** newest first *)
@@ -97,7 +96,6 @@ let create ?(heap_size = default_heap_size) ~config env =
     globals = Hashtbl.create 16;
     literals = Hashtbl.create 16;
     tbl_gen = Pna_vmem.Cow.fresh_gen ();
-    cow = true;
     input_ints = [];
     input_strings = [];
     output = [];
@@ -555,13 +553,6 @@ let pop_frame t =
   end
   else Returned
 
-(* Is [addr] inside a segment that should never be executed? Used when a
-   hijacked return lands outside text: with NX on, the fetch faults. *)
-let in_executable t addr =
-  match Pna_vmem.Vmem.find_segment t.mem addr with
-  | None -> false
-  | Some seg -> seg.Pna_vmem.Segment.perm.Pna_vmem.Perm.execute
-
 
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
@@ -777,7 +768,7 @@ let restore_table dst src =
 let restore t snap =
   Pna_vmem.Vmem.restore t.mem snap.ms_mem;
   Heap.restore t.heap snap.ms_heap;
-  Text.restore ~force:(not t.cow) t.text snap.ms_text;
+  Text.restore t.text snap.ms_text;
   Arena.restore t.arenas snap.ms_arenas;
   t.sp <- snap.ms_sp;
   t.fp <- snap.ms_fp;
@@ -792,7 +783,7 @@ let restore t snap =
      skippable — which on the service's rewind path is every time:
      vtables, globals and literals are load-time state, and runtime
      interning of attacker strings is tainted and thus uninterned. *)
-  if (not t.cow) || t.tbl_gen <> snap.ms_tbl_gen then begin
+  if t.tbl_gen <> snap.ms_tbl_gen then begin
     restore_table t.vtable_addrs snap.ms_vtable_addrs;
     restore_table t.vtable_classes snap.ms_vtable_classes;
     restore_table t.globals snap.ms_globals;
@@ -810,14 +801,3 @@ let restore t snap =
   | _ -> ());
   set_chaos t None;
   set_chaos_alloc t None
-
-(* Force (or re-enable) copy-on-write rewinds across every layer that
-   implements them: segment pages, shadow pages, and the generation-token
-   skip over the symbol and vtable/global/literal tables. *)
-let set_cow t b =
-  t.cow <- b;
-  Pna_vmem.Vmem.set_cow t.mem b;
-  Option.iter (fun s -> San.set_cow s b) t.san
-
-let pp_events ppf t =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Event.pp) (events t)

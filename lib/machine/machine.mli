@@ -79,11 +79,6 @@ val restore : t -> snapshot -> unit
     token proves they were mutated — with results bit-identical to the
     full-copy reference path (the E20 gate). *)
 
-val set_cow : t -> bool -> unit
-(** Enable (default) or disable copy-on-write rewinds for the address
-    space and any attached sanitizer; disabling forces the full-copy
-    reference path the E20 equivalence gate compares against. *)
-
 (** {1 Text symbols and vtables} *)
 
 val register_function : t -> string -> int
@@ -139,8 +134,6 @@ val pop_frame : t -> ret_status
     sp/fp, and reads the return address back from memory — reporting a
     hijack when it changed. *)
 
-val in_executable : t -> int -> bool
-
 (** {1 Heap} *)
 
 val malloc : t -> int -> int
@@ -191,5 +184,3 @@ val print : t -> string -> unit
 
 val output : t -> string list
 (** Oldest first. *)
-
-val pp_events : Format.formatter -> t -> unit

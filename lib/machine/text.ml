@@ -17,8 +17,8 @@ type t = {
   mutable gen : int;  (* generation token; see [Pna_vmem.Cow.fresh_gen] *)
 }
 
-(* Each function gets a 16-byte slot; call sites live at +5 (the width of a
-   call instruction on x86), purely for realistic-looking addresses. *)
+(* Each function gets a 16-byte slot, purely for realistic-looking
+   addresses. *)
 let slot_size = 16
 
 exception Full of { requested : int; used : int }
@@ -59,8 +59,6 @@ let symbol_at t addr =
   if addr < t.base || addr >= t.limit then None
   else Hashtbl.find_opt t.by_addr slot
 
-let return_site t name = address_exn t name + 5
-
 type snapshot = {
   sn_next : int;
   sn_by_name : (string, int) Hashtbl.t;
@@ -79,10 +77,9 @@ let snapshot t =
 (* A matching generation token proves the table was not mutated since
    the snapshot ([register] mints a fresh token), so the rebuild can be
    skipped — symbol tables are load-time state, so on the service's
-   rewind path this is every time. [force] takes the unconditional
-   rebuild path (the E20 reference behaviour). *)
-let restore ?(force = false) t snap =
-  if force || t.gen <> snap.sn_gen then begin
+   rewind path this is every time. *)
+let restore t snap =
+  if t.gen <> snap.sn_gen then begin
     t.next <- snap.sn_next;
     Hashtbl.reset t.by_name;
     Hashtbl.iter (Hashtbl.replace t.by_name) snap.sn_by_name;

@@ -24,9 +24,6 @@ val address_exn : t -> string -> int
 val symbol_at : t -> int -> string option
 (** The symbol whose slot contains the address, if any. *)
 
-val return_site : t -> string -> int
-(** A plausible return address inside the named function (entry + 5). *)
-
 val symbols : t -> (string * int) list
 (** Sorted by address. *)
 
@@ -34,7 +31,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-val restore : ?force:bool -> t -> snapshot -> unit
+val restore : t -> snapshot -> unit
 (** Rebuild the symbol tables from the snapshot. Skipped when a
-    generation token proves them unchanged, unless [force] (the
-    full-copy reference path). *)
+    generation token proves them unchanged. *)

@@ -58,7 +58,6 @@ type t = {
   mutable hit : shadow;  (* last shadow an access fell in *)
   mutable sync_id : int;
       (* 0, or the snapshot token every clean shadow page equals *)
-  mutable cow : bool;
   mutable scenario : string;
   mutable site : (unit -> string) option;
   mutable exempt_depth : int;
@@ -380,7 +379,6 @@ let attach ?(scenario = "") mem =
       shadows;
       hit = no_shadow;
       sync_id = 0;
-      cow = true;
       scenario;
       site = None;
       exempt_depth = 0;
@@ -428,14 +426,8 @@ type snapshot = {
    stale-reset above marks what it touches; restoring the snapshot the
    shadows are synced to then blits only dirty pages. *)
 let sync_to t snap =
-  if t.cow then begin
-    List.iter (fun sh -> Cow.Bitmap.clear sh.sh_dirty) t.shadows;
-    t.sync_id <- snap.sn_id
-  end
-
-let set_cow t b =
-  t.cow <- b;
-  t.sync_id <- 0
+  List.iter (fun sh -> Cow.Bitmap.clear sh.sh_dirty) t.shadows;
+  t.sync_id <- snap.sn_id
 
 let snapshot t =
   let snap =
@@ -452,7 +444,7 @@ let snapshot t =
   snap
 
 let restore t snap =
-  let synced = t.cow && t.sync_id = snap.sn_id && t.sync_id <> 0 in
+  let synced = t.sync_id = snap.sn_id && t.sync_id <> 0 in
   List.iter
     (fun sh ->
       match List.assoc_opt sh.sh_base snap.sn_states with

@@ -148,11 +148,6 @@ val restore : t -> snapshot -> unit
     case takes the full-copy path. Results are bit-identical either
     way. *)
 
-val set_cow : t -> bool -> unit
-(** Enable (default) or disable dirty-page shadow rewinds; disabling
-    drops the sync so every restore full-copies (the E20 reference
-    behaviour). *)
-
 (** {1 Printing / names} *)
 
 val kind_name : kind -> string

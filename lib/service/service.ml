@@ -40,8 +40,10 @@ type job = {
       (** [Some s]: run supervised under [Plan.generate ~seed:s] *)
   j_max_steps : int option;  (** per-job deadline in interpreter steps *)
   j_sanitize : bool;
-      (** attach the PNASan oracle; plain runs only — a chaos job ignores
-          it (supervision rebuilds machines mid-run) *)
+      (** run on the PNASan-instrumented image. A chaos job is
+          supervised on a rewound replica of that image too, but the
+          oracle only observes: its reply reports no violations and
+          equals the unsanitized supervised run *)
   j_trace : (int * int) option;
       (** (trace id, parent span) — worker-side spans link under the
           submitter's trace; never part of the memo key *)
@@ -91,6 +93,20 @@ let reply_of_supervised ?chaos_seed (s : Driver.supervised) =
     r_cached = false;
     r_violations = 0;
   }
+
+(* The reply with no service in the way: a fresh load per run — per
+   attempt under chaos — and no pool, memo, image or rewind. Every
+   pooled, rewound or memoised reply is checked against this one. *)
+let reference (j : job) =
+  let config = j.j_config and max_steps = j.j_max_steps in
+  match j.j_chaos_seed with
+  | None ->
+    reply_of_result
+      (Driver.run ~config ?max_steps ~sanitize:j.j_sanitize j.j_attack)
+  | Some seed ->
+    reply_of_supervised ~chaos_seed:seed
+      (Driver.supervise ~config ?max_steps ~plan:(Plan.generate ~seed ())
+         j.j_attack)
 
 let pp_reply ppf r =
   Fmt.pf ppf "%-16s %-14s %s%s: %s%s%s" r.r_id r.r_config

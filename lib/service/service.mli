@@ -20,8 +20,10 @@ type job = {
       (** [Some s]: run supervised under [Plan.generate ~seed:s] *)
   j_max_steps : int option;  (** per-job deadline in interpreter steps *)
   j_sanitize : bool;
-      (** attach the PNASan oracle; plain runs only — a chaos job ignores
-          it (supervision rebuilds machines mid-run). Defaults to
+      (** run on the PNASan-instrumented image. A chaos job is supervised
+          on a rewound replica of that image too, but the oracle only
+          observes: its reply reports no violations and equals the
+          unsanitized supervised run. Defaults to
           {!Driver.env_sanitize} so a [PNA_SANITIZE=1] process sanitizes
           pooled and sequential runs alike. *)
   j_trace : (int * int) option;
@@ -57,10 +59,18 @@ type reply = {
 }
 
 val reply_of_result : ?chaos_seed:int -> Driver.result -> reply
-(** What the service would reply for a sequential driver result — the
-    comparison point for determinism checks. *)
+(** What the service replies for a driver result. *)
 
 val reply_of_supervised : ?chaos_seed:int -> Driver.supervised -> reply
+
+val reference : job -> reply
+(** What the job replies with no service in the way: a plain job is one
+    fresh {!Driver.run} (honouring [j_sanitize]); a chaos job is one
+    {!Driver.supervise} under [Plan.generate ~seed] with a fresh load
+    per attempt. No pool, memo, frozen image or rewind is involved, so
+    this is the reference every pooled, rewound or memoised reply is
+    checked against. *)
+
 val pp_reply : Format.formatter -> reply -> unit
 
 (** {1 Statistics} *)

@@ -119,17 +119,14 @@ type t = {
   mutable trace_pos : int;  (* oldest record once full; else 0 *)
   mutable chaos : chaos_hook option;
   mutable observer : access_hook option;
-  mutable cow : bool;  (* false forces full-copy snapshot/restore *)
   mutable sync_id : int;
   (* 0, or the [sn_id] of the snapshot whose contents every *clean* page
      currently equals — the licence for dirty-only restores. Invalidated
-     by [add_segment] (shape change) and by [set_cow]. *)
+     by [add_segment] (shape change). *)
   mutable last_snap : snapshot option;
       (* the snapshot [sync_id] refers to, for clean-segment sharing *)
   stats : stats;
 }
-
-let word_size = 4
 
 let create () =
   {
@@ -142,19 +139,10 @@ let create () =
     trace_pos = 0;
     chaos = None;
     observer = None;
-    cow = true;
     sync_id = 0;
     last_snap = None;
     stats = fresh_stats ();
   }
-
-let cow_enabled t = t.cow
-
-(* The E20 gate flips this off to force reference full-copy rewinds. *)
-let set_cow t b =
-  t.cow <- b;
-  t.sync_id <- 0;
-  t.last_snap <- None
 
 let access_stats t = t.stats
 
@@ -498,7 +486,6 @@ let to_signed32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let of_signed32 v = v land 0xffffffff
 
 let read_i32 t addr = to_signed32 (read_u32 t addr)
-let write_i32 ?tag ?taint t addr v = write_u32 ?tag ?taint t addr (of_signed32 v)
 
 (* Block operations: taint travels with the bytes. *)
 
@@ -789,11 +776,9 @@ let[@inline] same_identity (s : Segment.t) fz =
 
 (* Mark every segment clean and record [snap] as the sync point. *)
 let sync_to t snap =
-  if t.cow then begin
-    List.iter Segment.clear_dirty t.segments;
-    t.sync_id <- snap.sn_id;
-    t.last_snap <- Some snap
-  end
+  List.iter Segment.clear_dirty t.segments;
+  t.sync_id <- snap.sn_id;
+  t.last_snap <- Some snap
 
 let snapshot t =
   let shared =
@@ -802,7 +787,7 @@ let snapshot t =
        recopying. Permissions are not dirty-tracked, so the current word
        is recorded explicitly. *)
     match t.last_snap with
-    | Some prev when t.cow && t.sync_id <> 0 && prev.sn_id = t.sync_id ->
+    | Some prev when t.sync_id <> 0 && prev.sn_id = t.sync_id ->
       fun (s : Segment.t) ->
         if s.Segment.dirty_any then None
         else
@@ -836,8 +821,8 @@ let snapshot t =
 
    When the sync token matches the snapshot, only dirty page runs are
    blitted; the full-copy path below is the semantic reference and the
-   fallback for everything else (foreign snapshots, shape changes, COW
-   disabled). *)
+   fallback for everything else (foreign snapshots, shape changes, a
+   fresh address space with no sync yet). *)
 
 let restore_full t snap =
   let live = t.segments in
@@ -874,7 +859,7 @@ let rec aligned segs fzs =
   | _ -> false
 
 let restore t snap =
-  if t.cow && t.sync_id = snap.sn_id && t.sync_id <> 0
+  if t.sync_id = snap.sn_id && t.sync_id <> 0
      && aligned t.segments snap.sn_segments
   then begin
     List.iter2

@@ -19,9 +19,6 @@ type write_record = { w_addr : int; w_len : int; w_tag : string }
 
 type t
 
-val word_size : int
-(** 4: the machine is ILP32. *)
-
 (** {1 Mapping} *)
 
 val create : unit -> t
@@ -51,8 +48,6 @@ val read_f64 : t -> int -> float
 val write_f64 : ?tag:string -> ?taint:bool -> t -> int -> float -> unit
 val read_i32 : t -> int -> int
 (** Signed view of a u32 read. *)
-
-val write_i32 : ?tag:string -> ?taint:bool -> t -> int -> int -> unit
 
 val to_signed32 : int -> int
 val of_signed32 : int -> int
@@ -150,8 +145,8 @@ val set_observer : t -> access_hook option -> unit
     Rewinds are copy-on-write: every write path marks the 256-byte pages
     it touches, and restoring the snapshot the space is currently synced
     to blits only dirty pages. Any other case — a different or foreign
-    snapshot, a shape change, COW disabled — takes the full-copy
-    reference path and re-establishes the sync. Restored state is
+    snapshot, a shape change, a fresh space never synced — takes the
+    full-copy reference path and re-establishes the sync. Restored state is
     bit-identical either way (the E20 gate proves it). *)
 
 type snapshot
@@ -164,14 +159,6 @@ val restore : t -> snapshot -> unit
     segments present at snapshot time are restored in place, so
     [Segment.t] references held elsewhere stay valid. The chaos hook is
     untouched — it is runtime configuration, not memory state. *)
-
-val set_cow : t -> bool -> unit
-(** Enable (default) or disable dirty-page rewinds and clean-segment
-    sharing. Disabling also drops the current sync, so every subsequent
-    snapshot and restore deep-copies — the reference behaviour the E20
-    equivalence gate compares against. *)
-
-val cow_enabled : t -> bool
 
 (** {1 Access accounting}
 

@@ -143,9 +143,7 @@ let test_e11_repair_headline () =
     (List.for_all (fun r -> r.E.residual_flagged) rows)
 
 let test_e12_service_throughput () =
-  (* scale:[1] skips the unasserted hardware-dependent scaling rows; the
-     jobs:4-vs-sequential determinism check runs inside e12 regardless *)
-  let r = E.e12 ~scale:[ 1 ] () in
+  let r = E.e12 () in
   Alcotest.(check bool) "pooled verdicts match the sequential driver" true
     r.E.sr_agree;
   Alcotest.(check bool) "memoization at least doubles throughput" true
@@ -188,7 +186,6 @@ let test_e15_fast_path () =
         true
         (E.e15_equiv_row_ok row))
     r.E.t15_rows;
-  Alcotest.(check bool) "pooled matches sequential" true r.E.t15_pool_agree;
   Alcotest.(check bool) "both speed legs timed" true
     (r.E.t15_speed.E.fs_fast_ns > 0. && r.E.t15_speed.E.fs_byte_ns > 0.);
   (* the real gate is >= 3x via `pna gate E15`; the tier-1 floor only

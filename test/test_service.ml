@@ -246,13 +246,7 @@ let test_batch_matches_sequential_driver () =
       ()
   in
   let sequential =
-    List.map
-      (fun (j : Service.job) ->
-        reply_fingerprint
-          (Service.reply_of_result
-             (Driver.run ~config:j.Service.j_config ~max_steps:budget
-                j.Service.j_attack)))
-      jobs
+    List.map (fun j -> reply_fingerprint (Service.reference j)) jobs
   in
   let svc = Service.create ~jobs:4 () in
   let parallel = List.map reply_fingerprint (Service.run_batch svc jobs) in
@@ -270,21 +264,14 @@ let test_batch_matches_sequential_driver () =
 let test_batch_chaos_matches_supervise () =
   let a = Pna_attacks.L12_heap.attack in
   let config = Config.none in
-  let seeds = [ 11; 12; 13 ] in
+  let jobs =
+    List.map (fun seed -> Service.job ~chaos_seed:seed ~config a) [ 11; 12; 13 ]
+  in
   let sequential =
-    List.map
-      (fun seed ->
-        reply_fingerprint
-          (Service.reply_of_supervised ~chaos_seed:seed
-             (Driver.supervise ~config ~plan:(Plan.generate ~seed ()) a)))
-      seeds
+    List.map (fun j -> reply_fingerprint (Service.reference j)) jobs
   in
   let svc = Service.create ~jobs:2 () in
-  let parallel =
-    List.map reply_fingerprint
-      (Service.run_batch svc
-         (List.map (fun seed -> Service.job ~chaos_seed:seed ~config a) seeds))
-  in
+  let parallel = List.map reply_fingerprint (Service.run_batch svc jobs) in
   Service.shutdown svc;
   Alcotest.(check bool) "supervised replies equal" true (sequential = parallel)
 
@@ -490,19 +477,6 @@ let test_replica_store_bounds_loads () =
 (* ------------------------------------------------------------------ *)
 (* Memo soundness and the memo-first hit path                          *)
 
-(* What a fresh, service-free run of the same request replies. *)
-let fresh_reply (j : Service.job) =
-  let config = j.Service.j_config and max_steps = j.Service.j_max_steps in
-  match j.Service.j_chaos_seed with
-  | None ->
-    Service.reply_of_result
-      (Driver.run ~config ?max_steps ~sanitize:j.Service.j_sanitize
-         j.Service.j_attack)
-  | Some seed ->
-    Service.reply_of_supervised ~chaos_seed:seed
-      (Driver.supervise ~config ?max_steps ~plan:(Plan.generate ~seed ())
-         j.Service.j_attack)
-
 let served_fingerprint (r : Service.reply) =
   (reply_fingerprint r, r.Service.r_violations)
 
@@ -515,7 +489,8 @@ let test_memo_key_covers_deadline () =
     Service.job ~max_steps ~sanitize:false ~config:Config.none a
   in
   let tight = job 10 and generous = job 200_000 in
-  let expect_tight = fresh_reply tight and expect_generous = fresh_reply generous in
+  let expect_tight = Service.reference tight
+  and expect_generous = Service.reference generous in
   Alcotest.(check bool) "the two deadlines disagree when run fresh" true
     (reply_fingerprint expect_tight <> reply_fingerprint expect_generous);
   let svc = Service.create ~jobs:1 () in
@@ -646,7 +621,7 @@ let prop_memo_replies_equal_fresh =
       let served = Service.run_batch svc jobs in
       Service.shutdown svc;
       List.for_all2
-        (fun j r -> served_fingerprint r = served_fingerprint (fresh_reply j))
+        (fun j r -> served_fingerprint r = served_fingerprint (Service.reference j))
         jobs served)
 
 (* ------------------------------------------------------------------ *)

@@ -424,10 +424,12 @@ let prop_fast_equals_bytepath =
 
 (* property: dirty-page rewinds reproduce the snapshot bit for bit — the
    same segment bytes, taint and permissions (and shadow states when the
-   oracle rides along) as a twin space running the full-copy reference
-   path, through nested snapshot/restore, re-dirtying between rewinds,
-   and whichever write path (fast, straddling, per-byte under a chaos
-   hook, with or without the sanitizer's observer) did the dirtying *)
+   oracle rides along) as the state at snapshot time and as a fresh twin
+   space restored from the same snapshot (a never-synced space takes the
+   full-copy path), through nested snapshot/restore, re-dirtying between
+   rewinds, and whichever write path (fast, straddling, per-byte under a
+   chaos hook, with or without the sanitizer's observer) did the
+   dirtying *)
 
 module San = Pna_sanitizer.Sanitizer
 
@@ -459,79 +461,70 @@ let prop_cow_restore_bitexact =
   QCheck.Test.make ~count:200
     ~name:"vmem: dirty-tracked restore == full-copy restore, bit for bit"
     (QCheck.make eq_gen) (fun (layout, ops) ->
-      let cow = mk_eq_layout layout in
-      let full = mk_eq_layout layout in
-      Vmem.set_cow full false;
+      let m = mk_eq_layout layout in
+      let sanitized = layout land 1 = 0 in
       (* half the cases attach the oracle, whose shadow map must rewind
          too; half of those also arm an identity chaos hook, so the
          observer is fed one byte at a time instead of one span *)
-      let sans =
-        if layout land 1 = 0 then begin
-          let sc = San.attach cow and sf = San.attach full in
-          San.set_cow sf false;
+      let san =
+        if sanitized then begin
           if layout land 2 = 0 then
-            List.iter
-              (fun m -> Vmem.set_chaos m (Some (fun ~access:_ ~addr:_ ~byte -> byte)))
-              [ cow; full ];
-          Some (sc, sf)
+            Vmem.set_chaos m (Some (fun ~access:_ ~addr:_ ~byte -> byte));
+          Some (San.attach m)
         end
         else None
       in
-      let state m = cow_state m (Option.map (if m == cow then fst else snd) sans) in
       let drive part =
         List.iter
           (fun op ->
-            ignore (eq_outcome cow op);
-            ignore (eq_outcome full op);
-            match sans with
-            | None -> ()
-            | Some (sc, sf) ->
-              shadow_mix sc op;
-              shadow_mix sf op)
+            ignore (eq_outcome m op);
+            Option.iter (fun sn -> shadow_mix sn op) san)
           part
       in
-      let snap () =
-        ( (Vmem.snapshot cow, Vmem.snapshot full),
-          Option.map (fun (sc, sf) -> (San.snapshot sc, San.snapshot sf)) sans )
-      in
-      let restore ((vc, vf), sn) =
-        Vmem.restore cow vc;
-        Vmem.restore full vf;
-        match (sans, sn) with
-        | Some (sc, sf), Some (hc, hf) ->
-          San.restore sc hc;
-          San.restore sf hf
+      let snap () = (Vmem.snapshot m, Option.map San.snapshot san) in
+      let restore (v, sn) =
+        Vmem.restore m v;
+        match (san, sn) with
+        | Some s, Some h -> San.restore s h
         | _ -> ()
       in
-      let agree want = state cow = want && state full = want in
+      (* the reference: a fresh space, never synced, restored once *)
+      let twin (v, sn) =
+        let tw = mk_eq_layout layout in
+        let tw_san = if sanitized then Some (San.attach tw) else None in
+        Vmem.restore tw v;
+        (match (tw_san, sn) with
+        | Some s, Some h -> San.restore s h
+        | _ -> ());
+        cow_state tw tw_san
+      in
+      let agree s want = cow_state m san = want && twin s = want in
       let half = List.length ops / 2 in
       let h1 = List.filteri (fun i _ -> i < half) ops in
       let h2 = List.filteri (fun i _ -> i >= half) ops in
       drive h1;
       let snap1 = snap () in
-      let want1 = state cow in
-      let ok0 = state full = want1 in
+      let want1 = cow_state m san in
       drive h2;
       let snap2 = snap () in
-      let want2 = state cow in
+      let want2 = cow_state m san in
       drive h1;
-      (* rewind to the snapshot the spaces are synced to: the COW side
-         blits dirty pages only *)
+      (* rewind to the snapshot the space is synced to: dirty pages only *)
       restore snap2;
-      let ok1 = agree want2 in
+      let ok1 = agree snap2 want2 in
       drive h2;
-      (* rewind to the older snapshot: a sync miss on the COW side, so
-         it must fall back to the full-copy path and re-sync *)
+      (* rewind to the older snapshot: a sync miss, so it must fall back
+         to the full-copy path and re-sync *)
       restore snap1;
-      let ok2 = agree want1 in
+      let ok2 = agree snap1 want1 in
       (* clean rewind: nothing dirty, the fast no-op path *)
       restore snap1;
-      let ok3 = agree want1 in
+      let ok3 = agree snap1 want1 in
       (* the bitmaps must still track after nested rewinds *)
       drive h1;
       restore snap1;
-      let ok4 = agree want1 in
-      ok0 && ok1 && ok2 && ok3 && ok4)
+      let ok4 = agree snap1 want1 in
+      ok1 && ok2 && ok3 && ok4)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
