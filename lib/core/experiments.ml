@@ -706,7 +706,8 @@ type e13_report = {
   t13_dropped : int;  (** ring-buffer drops across the completeness sweep *)
 }
 
-(* Overhead, one estimator for E13, E14 and E18: the E12 workload
+(* Overhead, gated once, in E13 (E14 reuses the estimator for its
+   ungated oracle-attached ratio): the E12 workload
    (benign_pool under every config) driven two ways on one domain. The
    baseline side inlines what the first run_prepared did — rewind,
    recompute input, execute, judge — calling the machine and VM directly
@@ -949,9 +950,6 @@ type e14_clean_row = {
 type e14_report = {
   t14_rows : e14_row list;
   t14_clean : e14_clean_row list;
-  t14_overhead : e13_overhead;
-      (** same gate shape as E13: the sanitizer-capable driver path with
-          the oracle *not* attached vs the inline baseline *)
   t14_enabled_ratio : float;
       (** informative: oracle attached vs not, same driver path *)
 }
@@ -1017,14 +1015,12 @@ let e14_clean () =
       workload "heap-churn" Workloads.heap_churn ~n:64;
     ]
 
-(* Overhead: E13's estimator, whose production pass already carries
-   the unattached observer hook on every checked access — the cost
-   this gate bounds at 5%. The enabled ratio (oracle attached vs not,
-   same driver path, same estimator) is reported for scale but not
-   gated: shadow lookups on every access are the price of the oracle. *)
+(* The oracle's cost, for scale: the oracle attached vs not, same driver
+   path, E13's estimator. Not gated — shadow lookups on every access are
+   the price of the oracle. The unattached observer hook every checked
+   access carries is part of E13's gated production side. *)
 let e14 ?reps ?blocks () =
   Telemetry.disable ();
-  let t14_overhead = overhead ?reps ?blocks () in
   let t14_enabled_ratio =
     match
       best_of_blocks ?reps ?blocks
@@ -1033,7 +1029,7 @@ let e14 ?reps ?blocks () =
     | [ plain; sanitized ] -> ratio sanitized plain
     | _ -> assert false
   in
-  { t14_rows = e14_completeness (); t14_clean = e14_clean (); t14_overhead;
+  { t14_rows = e14_completeness (); t14_clean = e14_clean ();
     t14_enabled_ratio }
 
 let pp_e14 ppf r =
@@ -1059,10 +1055,9 @@ let pp_e14 ppf r =
     List.length (List.filter (fun r -> r.o_expected <> None) r.t14_rows)
   in
   Fmt.pf ppf
-    "overhead: baseline %.4fs, driver-unsanitized %.4fs (ratio %.3f, gate <= \
-     1.05); oracle-attached %.1fx@,"
-    r.t14_overhead.ov_baseline_s r.t14_overhead.ov_production_s
-    r.t14_overhead.ov_ratio r.t14_enabled_ratio;
+    "overhead: oracle-attached %.1fx (not gated; E13 gates the unattached \
+     driver path)@,"
+    r.t14_enabled_ratio;
   Fmt.pf ppf
     "=> %d/%d attacks flagged as expected (%d oracle-visible), %d/%d clean \
      runs flag-free@]"
@@ -1559,7 +1554,7 @@ let pp_e16 ppf r =
 
 (* ------------------------------------------------------------------ *)
 (* E18: wire-to-verdict observability — distributed trace completeness,
-   forensic-bundle fidelity, wire back-compat, disabled overhead.       *)
+   forensic-bundle fidelity, wire back-compat.                           *)
 
 module Flight = Pna_flight.Flight
 module Jsonx = Pna_telemetry.Jsonx
@@ -1846,18 +1841,15 @@ type e18_report = {
   t18_wire : e18_wire;
   t18_rows : e18_forensic_row list;
   t18_compat : e18_compat;
-  t18_overhead : e13_overhead;
 }
 
 let e18 () =
-  (* overhead first: it asserts telemetry is still off *)
-  let t18_overhead = overhead () in
   let t18_wire =
     Telemetry.with_enabled (fun () -> e18_wire ())
   in
   let t18_rows = e18_forensics () in
   let t18_compat = e18_compat () in
-  { t18_wire; t18_rows; t18_compat; t18_overhead }
+  { t18_wire; t18_rows; t18_compat }
 
 let pp_e18 ppf r =
   let w = r.t18_wire in
@@ -1886,11 +1878,8 @@ let pp_e18 ppf r =
   let c = r.t18_compat in
   Fmt.pf ppf
     "compat: v1 versions %b  v1 roundtrip %b  v2 roundtrip %b  stats %b@,\
-     overhead: baseline %.4fs -> production %.4fs = %.3fx (gate 1.05)@,\
      => %d catalogue attack(s) with a live first violation@]"
     c.c_v1_versions c.c_v1_roundtrip c.c_v2_roundtrip c.c_stats_roundtrip
-    r.t18_overhead.ov_baseline_s r.t18_overhead.ov_production_s
-    r.t18_overhead.ov_ratio
     (List.length (List.filter (fun x -> x.fr_live <> None) r.t18_rows))
 
 (* ------------------------------------------------------------------ *)
@@ -1971,7 +1960,6 @@ let e13_ok r =
 let e14_ok r =
   List.for_all e14_row_ok r.t14_rows
   && List.for_all (fun c -> c.cl_records = 0) r.t14_clean
-  && r.t14_overhead.ov_ratio <= 1.05
 
 (* The scaling gate adapts to the host: with enough cores for the
    largest worker count the pool must actually be faster (2x at 4+
@@ -2025,8 +2013,8 @@ let e16_ok r =
 
 (* The observability gate: every sampled request's spans merge into one
    connected tree with nothing dropped, every forensic bundle agrees
-   with the live oracle on the first corrupting access, old frames
-   still decode, and the disabled machinery stays within 5%. *)
+   with the live oracle on the first corrupting access, and old frames
+   still decode. (The disabled machinery's 5% bound is E13's.) *)
 let e18_ok r =
   let w = r.t18_wire and c = r.t18_compat in
   w.w_traced > 0 && w.w_traces = w.w_traced && w.w_roots_ok
@@ -2036,7 +2024,6 @@ let e18_ok r =
   && List.exists (fun x -> x.fr_live <> None) r.t18_rows
   && c.c_v1_versions && c.c_v1_roundtrip && c.c_v2_roundtrip
   && c.c_stats_roundtrip
-  && r.t18_overhead.ov_ratio <= 1.05
 
 (* ------------------------------------------------------------------ *)
 
@@ -2121,7 +2108,7 @@ let gates =
       (fun () -> e13 ()) pp_e13 e13_ok;
     gate "E14"
       "PNASan: every attack flagged at its first corrupting access, clean \
-       runs flag-free, disabled overhead within 5%."
+       runs flag-free; the oracle's cost reported."
       (fun () -> e14 ()) pp_e14 e14_ok;
     gate "E15"
       "Vmem fast path equals the byte path and pays; pooled execution \
@@ -2133,6 +2120,6 @@ let gates =
       e16 pp_e16 e16_ok;
     gate "E18"
       "Observability: wire traces connect, forensic bundles match the live \
-       oracle, v1 frames decode, disabled overhead within 5%."
+       oracle, v1 frames decode."
       e18 pp_e18 e18_ok;
   ]

@@ -2,14 +2,19 @@
 
     Two stores cooperate:
 
-    - a {e process-global ring} of recent happenings any layer may note
-      (wire frames in and out, campaign milestones) — cheap enough to
-      leave armed in production, bounded so a soak cannot grow it;
+    - a {e process-global ring} of the newest 1024 happenings any layer
+      may note (wire frames in and out, campaign milestones) — cheap
+      enough to leave armed in production, bounded so a soak cannot
+      grow it;
     - a {e per-run session} that taps the sanitizer's violation and
-      shadow-transition hooks and the interpreter's statement ticks.
-      The first violation is latched in its own slot, outside any ring,
-      so no volume of later activity can overwrite the one fact a
-      post-mortem needs most: which statement wrote which byte first.
+      shadow-transition hooks and the interpreter's statement ticks
+      into its own tail of the newest 2048 entries. The first violation
+      is latched in its own slot, outside any ring, so no volume of
+      later activity can overwrite the one fact a post-mortem needs
+      most: which statement wrote which bytes first.
+
+    Both bounds are {!Pna_ring.Ring}s: what falls off is counted
+    ({!dropped}, the bundle's [timeline_dropped]), never silently lost.
 
     {!dump} freezes both into a self-contained forensic bundle — a
     JSONL timeline, the Chrome trace, a shadow-map excerpt around the
@@ -24,6 +29,7 @@ module Machine = Pna_machine.Machine
 module Event = Pna_machine.Event
 module Vmem = Pna_vmem.Vmem
 module Fault = Pna_vmem.Fault
+module Ring = Pna_ring.Ring
 
 type entry = {
   e_seq : int;
@@ -35,61 +41,29 @@ type entry = {
 
 (* -- the global ring ------------------------------------------------- *)
 
-let default_capacity = 1024
-let capacity = ref default_capacity
-
-type ring = {
-  r_mutex : Mutex.t;
-  mutable r_slots : entry option array;
-  mutable r_next : int;
-  mutable r_dropped : int;
-}
-
-let ring = {
-  r_mutex = Mutex.create ();
-  r_slots = Array.make default_capacity None;
-  r_next = 0;
-  r_dropped = 0;
-}
+let ring : entry Ring.t = Ring.create 1024
+let ring_mutex = Mutex.create ()
 
 let locked f =
-  Mutex.lock ring.r_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ring.r_mutex) f
+  Mutex.lock ring_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock ring_mutex) f
 
-let note ?(step = -1) ~kind data =
-  locked (fun () ->
-      if Array.length ring.r_slots <> !capacity then begin
-        ring.r_slots <- Array.make !capacity None;
-        ring.r_next <- 0
-      end;
-      let slot = ring.r_next mod Array.length ring.r_slots in
-      if ring.r_slots.(slot) <> None then
-        ring.r_dropped <- ring.r_dropped + 1;
-      ring.r_slots.(slot) <-
-        Some
-          {
-            e_seq = ring.r_next;
-            e_ts_us = Trace.now_us ();
-            e_step = step;
-            e_kind = kind;
-            e_data = data;
-          };
-      ring.r_next <- ring.r_next + 1)
+(* An entry stamped with its ring's sequence number: every push since the
+   last reset, retained or dropped. *)
+let push r ~step ~kind data =
+  Ring.push r
+    {
+      e_seq = Ring.length r + Ring.dropped r;
+      e_ts_us = Trace.now_us ();
+      e_step = step;
+      e_kind = kind;
+      e_data = data;
+    }
 
-let entries () =
-  locked (fun () ->
-      Array.fold_left
-        (fun acc s -> match s with Some e -> e :: acc | None -> acc)
-        [] ring.r_slots)
-  |> List.sort (fun a b -> compare a.e_seq b.e_seq)
-
-let dropped () = locked (fun () -> ring.r_dropped)
-
-let reset () =
-  locked (fun () ->
-      Array.fill ring.r_slots 0 (Array.length ring.r_slots) None;
-      ring.r_next <- 0;
-      ring.r_dropped <- 0)
+let note ?(step = -1) ~kind data = locked (fun () -> push ring ~step ~kind data)
+let entries () = locked (fun () -> Ring.to_list ring)
+let dropped () = locked (fun () -> Ring.dropped ring)
+let reset () = locked (fun () -> Ring.clear ring)
 
 (* -- per-run sessions ------------------------------------------------ *)
 
@@ -97,11 +71,9 @@ let reset () =
    violation record plus the interpreter step it happened on. *)
 type first = { fv_violation : San.violation; fv_step : int }
 
-(* Session-local event tail — transitions and violations with step
-   numbers, bounded like the global ring but private to one run so
-   concurrent workers never interleave. *)
-let session_capacity = 2048
-
+(* [fs_tail] is the session-local event tail — transitions and
+   violations with step numbers, bounded like the global ring but
+   private to one run so concurrent workers never interleave. *)
 type session = {
   fs_scenario : string;
   fs_config : string;
@@ -109,9 +81,7 @@ type session = {
   mutable fs_first : first option;
   mutable fs_violations : int;
   mutable fs_transitions : int;
-  fs_slots : entry option array;
-  mutable fs_next : int;
-  mutable fs_dropped : int;
+  fs_tail : entry Ring.t;
 }
 
 let start ~scenario ~config =
@@ -122,28 +92,14 @@ let start ~scenario ~config =
     fs_first = None;
     fs_violations = 0;
     fs_transitions = 0;
-    fs_slots = Array.make session_capacity None;
-    fs_next = 0;
-    fs_dropped = 0;
+    fs_tail = Ring.create 2048;
   }
 
 let tick fs = fs.fs_step <- fs.fs_step + 1
 let step fs = fs.fs_step
 let first_violation fs = fs.fs_first
 
-let session_note fs ~kind data =
-  let slot = fs.fs_next mod Array.length fs.fs_slots in
-  if fs.fs_slots.(slot) <> None then fs.fs_dropped <- fs.fs_dropped + 1;
-  fs.fs_slots.(slot) <-
-    Some
-      {
-        e_seq = fs.fs_next;
-        e_ts_us = Trace.now_us ();
-        e_step = fs.fs_step;
-        e_kind = kind;
-        e_data = data;
-      };
-  fs.fs_next <- fs.fs_next + 1
+let session_note fs ~kind data = push fs.fs_tail ~step:fs.fs_step ~kind data
 
 let access_name = function
   | Fault.Read -> "read"
@@ -189,11 +145,7 @@ let detach (san : San.t) =
   San.set_on_violation san None;
   San.set_on_transition san None
 
-let session_entries fs =
-  Array.fold_left
-    (fun acc s -> match s with Some e -> e :: acc | None -> acc)
-    [] fs.fs_slots
-  |> List.sort (fun a b -> compare a.e_seq b.e_seq)
+let session_entries fs = Ring.to_list fs.fs_tail
 
 (* -- forensic bundle ------------------------------------------------- *)
 
@@ -361,7 +313,7 @@ let dump ~dir ?machine ?san ~status fs =
             ("steps", Jsonx.Int fs.fs_step);
             ("violations", Jsonx.Int fs.fs_violations);
             ("transitions", Jsonx.Int fs.fs_transitions);
-            ("timeline_dropped", Jsonx.Int fs.fs_dropped);
+            ("timeline_dropped", Jsonx.Int (Ring.dropped fs.fs_tail));
             ("first_violation", first_json);
           ]));
   bundle

@@ -94,7 +94,7 @@ let clamp_jobs n = max 1 (min n (max 4 (Domain.recommended_domain_count ())))
    (measured 3x on the 32-job batch bench at 4 domains). Each worker
    therefore grows its own minor heap before taking work; [Gc.set] only
    resizes the calling domain, so this must run in the worker body. *)
-let default_minor_words = 4 * 1024 * 1024
+let minor_words = 4 * 1024 * 1024
 
 (* Take from one deque; on success [queued] is decremented inside the
    critical section, so "closing and [queued] = 0" reliably means every
@@ -143,7 +143,7 @@ let try_take pool i =
       !found
     end
 
-let worker pool ~minor_words mk_ctx i () =
+let worker pool mk_ctx i () =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < minor_words then
     Gc.set { g with Gc.minor_heap_size = minor_words };
@@ -174,8 +174,7 @@ let worker pool ~minor_words mk_ctx i () =
   in
   loop ()
 
-let create ?(queue_cap = 64) ?(minor_words = default_minor_words) ~jobs ~mk_ctx
-    () =
+let create ?(queue_cap = 64) ~jobs ~mk_ctx () =
   if queue_cap < 1 then invalid_arg "Pool.create: queue_cap must be positive";
   let jobs = clamp_jobs jobs in
   let pool =
@@ -197,7 +196,7 @@ let create ?(queue_cap = 64) ?(minor_words = default_minor_words) ~jobs ~mk_ctx
     }
   in
   pool.workers <-
-    Array.init jobs (fun i -> Domain.spawn (worker pool ~minor_words mk_ctx i));
+    Array.init jobs (fun i -> Domain.spawn (worker pool mk_ctx i));
   pool
 
 let jobs t = t.jobs

@@ -21,7 +21,6 @@ val clamp_jobs : int -> int
 
 val create :
   ?queue_cap:int ->
-  ?minor_words:int ->
   jobs:int ->
   mk_ctx:(unit -> 'ctx) ->
   unit ->
@@ -29,10 +28,10 @@ val create :
 (** Spawn [clamp_jobs jobs] worker domains, each owning one queue.
     [queue_cap] (default 64) bounds the total number of
     queued-but-unstarted jobs across all queues. Each worker grows its
-    domain-local minor heap to [minor_words] words (default 4M) before
-    taking work: minor collections are stop-the-world across all domains,
-    and the runtime default period makes an allocation-heavy pool spend
-    more time at GC barriers than executing.
+    domain-local minor heap to 4M words before taking work: minor
+    collections are stop-the-world across all domains, and the runtime
+    default period makes an allocation-heavy pool spend more time at GC
+    barriers than executing.
     @raise Invalid_argument on a non-positive [queue_cap]. *)
 
 val jobs : 'ctx t -> int

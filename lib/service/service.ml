@@ -482,8 +482,8 @@ type t = {
 
 let default_memo_cap = 65_536
 
-let create ?(jobs = Domain.recommended_domain_count ()) ?queue_cap
-    ?(memo = true) ?(memo_cap = default_memo_cap) ?(prepared_cap = 16) () =
+let create ?(jobs = Domain.recommended_domain_count ()) ?(memo = true)
+    ?(memo_cap = default_memo_cap) ?(prepared_cap = 16) () =
   if prepared_cap < 1 then
     invalid_arg "Service.create: prepared_cap must be positive";
   if memo_cap < 1 then
@@ -508,7 +508,7 @@ let create ?(jobs = Domain.recommended_domain_count ()) ?queue_cap
     }
   in
   {
-    pool = Pool.create ?queue_cap ~jobs ~mk_ctx ();
+    pool = Pool.create ~jobs ~mk_ctx ();
     shards;
     images = Hashtbl.create 64;
     images_mutex = Mutex.create ();

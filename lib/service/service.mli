@@ -105,19 +105,18 @@ type t
 
 val create :
   ?jobs:int ->
-  ?queue_cap:int ->
   ?memo:bool ->
   ?memo_cap:int ->
   ?prepared_cap:int ->
   unit ->
   t
 (** [jobs] defaults to [Domain.recommended_domain_count] and is clamped by
-    {!Pool.clamp_jobs}; [queue_cap] bounds the job queue (backpressure);
-    [memo] (default true) enables the result cache; [memo_cap] (default
-    65536) bounds total memo entries — each of the 16 shards holds an LRU
-    of [memo_cap/16], so multi-hour soaks cannot grow memory without
-    limit; [prepared_cap] (default 16) bounds each worker's
-    prepared-machine cache. *)
+    {!Pool.clamp_jobs}; the job queue holds {!Pool.create}'s default
+    of 64 (backpressure); [memo] (default true) enables the result
+    cache; [memo_cap] (default 65536) bounds total memo entries — each
+    of the 16 shards holds an LRU of [memo_cap/16], so multi-hour soaks
+    cannot grow memory without limit; [prepared_cap] (default 16) bounds
+    each worker's prepared-machine cache. *)
 
 val jobs : t -> int
 (** Effective worker count. *)

@@ -1,10 +1,11 @@
 (** Structured tracing: nested timed spans and instant events, buffered
     per domain.
 
-    Each domain that traces gets its own ring buffer and open-span
-    stack, registered lazily through [Domain.DLS] — so {!Service.Pool}
-    workers never contend on a shared buffer and the Chrome export
-    renders one track per domain. When the global {!Switch} is off,
+    Each domain that traces gets its own bounded {!Pna_ring.Ring} of
+    the newest 16384 events and its own open-span stack, registered
+    lazily through [Domain.DLS] — so {!Service.Pool} workers never
+    contend on a shared buffer and the Chrome export renders one track
+    per domain. When the global {!Switch} is off,
     {!with_span} costs one atomic load and a branch around the thunk;
     instants and annotations cost nothing.
 
@@ -43,19 +44,17 @@ type open_span = {
   mutable sp_args : (string * arg) list;
 }
 
+module Ring = Pna_ring.Ring
+
 type buffer = {
   b_track : int;
   b_mutex : Mutex.t; (* owner domain writes; exporters read *)
-  b_ring : event option array;
-  mutable b_next : int; (* total events ever pushed *)
-  mutable b_dropped : int; (* overwritten by ring wrap-around *)
+  b_ring : event Ring.t;
   mutable b_stack : open_span list;
   mutable b_ctx : ctx option; (* trace identity for spans opened here *)
 }
 
-let default_capacity = 16_384
-
-let capacity = ref default_capacity
+let events_per_domain = 16_384
 
 (* every domain's buffer, for exporters running on another domain *)
 let all_buffers : buffer list Atomic.t = Atomic.make []
@@ -73,9 +72,7 @@ let key : buffer Domain.DLS.key =
         {
           b_track = (Domain.self () :> int);
           b_mutex = Mutex.create ();
-          b_ring = Array.make !capacity None;
-          b_next = 0;
-          b_dropped = 0;
+          b_ring = Ring.create events_per_domain;
           b_stack = [];
           b_ctx = None;
         }
@@ -141,12 +138,7 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let push buf ev =
-  locked buf.b_mutex (fun () ->
-      let slot = buf.b_next mod Array.length buf.b_ring in
-      if buf.b_ring.(slot) <> None then buf.b_dropped <- buf.b_dropped + 1;
-      buf.b_ring.(slot) <- Some ev;
-      buf.b_next <- buf.b_next + 1)
+let push buf ev = locked buf.b_mutex (fun () -> Ring.push buf.b_ring ev)
 
 (* -- recording ------------------------------------------------------ *)
 
@@ -263,11 +255,7 @@ let emit ?(cat = "span") ?(args = []) ?trace ~name ~ts_us ~dur_us () =
 
 (* -- reading back --------------------------------------------------- *)
 
-let collect buf =
-  locked buf.b_mutex (fun () ->
-      Array.fold_left
-        (fun acc slot -> match slot with Some ev -> ev :: acc | None -> acc)
-        [] buf.b_ring)
+let collect buf = locked buf.b_mutex (fun () -> Ring.to_list buf.b_ring)
 
 let events () =
   let evs =
@@ -277,16 +265,12 @@ let events () =
 
 let dropped () =
   List.fold_left
-    (fun acc buf -> acc + locked buf.b_mutex (fun () -> buf.b_dropped))
+    (fun acc buf -> acc + locked buf.b_mutex (fun () -> Ring.dropped buf.b_ring))
     0 (Atomic.get all_buffers)
 
 let reset () =
   List.iter
-    (fun buf ->
-      locked buf.b_mutex (fun () ->
-          Array.fill buf.b_ring 0 (Array.length buf.b_ring) None;
-          buf.b_next <- 0;
-          buf.b_dropped <- 0))
+    (fun buf -> locked buf.b_mutex (fun () -> Ring.clear buf.b_ring))
     (Atomic.get all_buffers)
 
 (* -- exporters ------------------------------------------------------ *)

@@ -3,9 +3,9 @@
     Two pieces: globally unique generation tokens (mint one at every
     mutation of a versioned structure; token equality then proves the
     structure has not changed since a snapshot captured it), and a
-    page-granular dirty bitmap for byte arrays that are not {!Segment}s
-    — the sanitizer's shadow maps use it so their restores, too, blit
-    only touched pages. *)
+    page-granular dirty bitmap — every {!Segment}'s contents, the
+    sanitizer's shadow maps and the text heap's bytes use it, so each of
+    their restores blits only touched pages. *)
 
 (* Tokens are minted from one process-wide atomic so that snapshots can
    travel between machines and domains (the service's replica-thaw path)
@@ -16,8 +16,11 @@ let gen_counter = Atomic.make 0
 let fresh_gen () = 1 + Atomic.fetch_and_add gen_counter 1
 
 module Bitmap = struct
-  let page_shift = Segment.page_shift
-  let page_size = Segment.page_size
+  (* 256-byte pages keep a bitmap tiny (1 KiB for the 256 KiB heap)
+     while making a lightly dirtied rewind blit a few hundred bytes
+     instead of megabytes. *)
+  let page_shift = 8
+  let page_size = 1 lsl page_shift
 
   type t = {
     len : int;  (* covered bytes *)

@@ -27,12 +27,6 @@ let kind_index = function
   | Stack -> 4
   | Mmap -> 5
 
-(* Dirty-page granularity for copy-on-write snapshots. 256 bytes keeps
-   the bitmap tiny (1 KiB for the 256 KiB heap) while making a lightly
-   dirtied rewind blit a few hundred bytes instead of megabytes. *)
-let page_shift = 8
-let page_size = 1 lsl page_shift
-
 type t = {
   kind : kind;
   base : int;
@@ -40,11 +34,8 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Bytes.t;  (* one byte per page; nonzero = touched since last sync *)
-  mutable dirty_any : bool;  (* false implies every byte of [dirty] is zero *)
+  dirty : Cow.Bitmap.t;  (* pages touched since the last snapshot sync *)
 }
-
-let page_count size = (size + page_size - 1) lsr page_shift
 
 let create ~kind ~base ~size ~perm =
   if size <= 0 then invalid_arg "Segment.create: size must be positive";
@@ -56,8 +47,7 @@ let create ~kind ~base ~size ~perm =
     bytes = Bytes.make size '\000';
     taint = Bytes.make size '\000';
     perm;
-    dirty = Bytes.make (page_count size) '\001';
-    dirty_any = true;
+    dirty = Cow.Bitmap.create size;
   }
 
 let limit t = t.base + t.size
@@ -68,62 +58,22 @@ let off t addr = addr - t.base
 
 let get_byte t addr = Char.code (Bytes.get t.bytes (off t addr))
 
-(* Mark [len] bytes at segment offset [o] as touched. At most two pages
-   for scalar widths, so the common case is one or two byte stores. *)
-let[@inline] mark_dirty t o len =
-  if len > 0 then begin
-    let p0 = o lsr page_shift and p1 = (o + len - 1) lsr page_shift in
-    if p0 = p1 then Bytes.unsafe_set t.dirty p0 '\001'
-    else Bytes.fill t.dirty p0 (p1 - p0 + 1) '\001';
-    t.dirty_any <- true
-  end
-
-let mark_all_dirty t =
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001';
-  t.dirty_any <- true
-
-let clear_dirty t =
-  if t.dirty_any then begin
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    t.dirty_any <- false
-  end
-
-(* Coalesced maximal runs of dirty pages, clamped to the segment size:
-   [f off len] with [off]/[len] in bytes relative to the segment base. *)
-let iter_dirty_runs t f =
-  if t.dirty_any then begin
-    let npages = Bytes.length t.dirty in
-    let i = ref 0 in
-    while !i < npages do
-      if Bytes.unsafe_get t.dirty !i <> '\000' then begin
-        let j = ref (!i + 1) in
-        while !j < npages && Bytes.unsafe_get t.dirty !j <> '\000' do
-          incr j
-        done;
-        let o = !i lsl page_shift in
-        f o (min (!j lsl page_shift) t.size - o);
-        i := !j
-      end
-      else incr i
-    done
-  end
-
 let set_byte t addr v =
   let o = off t addr in
   Bytes.set t.bytes o (Char.chr (v land 0xff));
-  mark_dirty t o 1
+  Cow.Bitmap.mark t.dirty o 1
 
 let get_taint t addr = Bytes.get t.taint (off t addr) <> '\000'
 
 let set_taint t addr tainted =
   let o = off t addr in
   Bytes.set t.taint o (if tainted then '\001' else '\000');
-  mark_dirty t o 1
+  Cow.Bitmap.mark t.dirty o 1
 
 let clear t =
   Bytes.fill t.bytes 0 t.size '\000';
   Bytes.fill t.taint 0 t.size '\000';
-  mark_all_dirty t
+  Cow.Bitmap.mark_all t.dirty
 
 let pp ppf t =
   Fmt.pf ppf "%-5s [0x%08x, 0x%08x) %a" (kind_name t.kind) t.base (limit t)

@@ -11,11 +11,6 @@ val kind_count : int
 val kind_index : kind -> int
 (** Dense index in [0, kind_count): declaration order. *)
 
-val page_shift : int
-(** Dirty-tracking granularity: pages are [1 lsl page_shift] bytes. *)
-
-val page_size : int
-
 type t = {
   kind : kind;
   base : int;
@@ -23,12 +18,11 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Bytes.t;
-      (** one byte per {!page_size}-byte page; nonzero = the page was
-          touched (contents or taint) since the last {!clear_dirty} *)
-  mutable dirty_any : bool;
-      (** [false] implies every byte of [dirty] is zero — the cheap
-          "nothing to rewind" test *)
+  dirty : Cow.Bitmap.t;
+      (** the pages touched (contents or taint) since the last snapshot
+          sync. A fresh segment starts fully dirty: it has not been
+          synced against any snapshot. Writers mark; {!Vmem}'s snapshot
+          and restore clear at sync points. *)
 }
 
 val create : kind:kind -> base:int -> size:int -> perm:Perm.t -> t
@@ -50,22 +44,5 @@ val set_taint : t -> int -> bool -> unit
 
 val clear : t -> unit
 (** Zero both contents and taint. *)
-
-(** {1 Dirty-page tracking}
-
-    A fresh segment starts fully dirty: its contents have not been
-    synced against any snapshot. Writers mark; {!Vmem}'s snapshot and
-    restore clear at sync points. *)
-
-val mark_dirty : t -> int -> int -> unit
-(** [mark_dirty t off len]: mark the pages covering [len] bytes at
-    segment offset [off] as touched. No-op when [len <= 0]. *)
-
-val mark_all_dirty : t -> unit
-val clear_dirty : t -> unit
-
-val iter_dirty_runs : t -> (int -> int -> unit) -> unit
-(** Apply [f off len] to each maximal run of dirty pages, offsets and
-    lengths in bytes relative to the segment base, clamped to [size]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,14 +14,15 @@
     and chaos dispatch, trace record per byte — and is the semantic
     reference. The {e fast path} services a multi-byte access in one
     step against the segment's backing [Bytes], and engages only when
-    (a) no chaos hook and no write trace is armed, and (b) the whole
-    range lies inside one segment with the required permission. An
-    armed observer does not disable it: the fast path reports the whole
-    span to the observer in one call, the byte path one byte per call.
-    Anything else — straddles, unmapped gaps, protection boundaries,
-    chaos, the trace — falls back to the byte path, so fault
-    constructors, fault addresses, sanitizer observations, taint
-    propagation and chaos injection are bit-identical either way. *)
+    (a) no chaos hook is armed, and (b) the whole range lies inside one
+    segment with the required permission. An armed observer or write
+    trace does not disable it: the fast path reports the whole span to
+    the observer in one call and records it as one write record, the
+    byte path one byte per call and per record. Anything else —
+    straddles, unmapped gaps, protection boundaries, chaos — falls back
+    to the byte path, so fault constructors, fault addresses, sanitizer
+    observations, taint propagation, chaos injection and the bytes the
+    trace covers are identical either way. *)
 
 type write_record = { w_addr : int; w_len : int; w_tag : string }
 
@@ -58,7 +59,6 @@ type stats = {
   by_kind : (Segment.kind * access_stats) list;  (* all six kinds *)
   rows : access_stats array;  (* same rows, indexed by Segment.kind_index *)
   mutable faults : int;  (* unmapped + protection, any kind *)
-  mutable trace_dropped : int;  (* write records evicted by the trace ring *)
 }
 
 let fresh_stats () =
@@ -73,15 +73,13 @@ let fresh_stats () =
         Segment.[ Text; Data; Bss; Heap; Stack; Mmap ];
     rows;
     faults = 0;
-    trace_dropped = 0;
   }
 
-(* The write trace is a bounded ring so long-running traced sessions
-   cannot grow memory without bound: entries at [0, trace_len) while
-   filling (oldest at 0), and once [trace_len = trace_cap] the oldest
-   record sits at [trace_pos] and each new record overwrites it,
-   counting a drop. *)
-let default_trace_cap = 65_536
+module Ring = Pna_ring.Ring
+
+(* The write trace keeps the newest records in a bounded ring, so a
+   long traced session cannot grow memory without bound. *)
+let trace_records = 65_536
 
 (* One frozen segment: identity (kind/base/size) plus deep copies of the
    mutable payload. The copies are private to the snapshot — [restore]
@@ -98,25 +96,15 @@ type frozen_segment = {
 }
 
 type snapshot = {
-  sn_id : int;  (* globally unique sync token *)
+  sn_id : int;  (* globally unique sync token, from [Cow.fresh_gen] *)
   sn_segments : frozen_segment list;
-  sn_trace_enabled : bool;
-  sn_trace : write_record list;  (* retained ring contents, oldest first *)
+  sn_trace : write_record Ring.t option;  (* a private copy; never pushed *)
 }
-
-(* Snapshot identities are global (not per-[t]) so that a snapshot taken
-   on one address space and restored into another — the service's
-   replica-thaw path — can never collide with a locally minted id. *)
-let snap_ids = Atomic.make 0
 
 type t = {
   mutable segments : Segment.t list;
   mutable hot : Segment.t option;  (* last segment hit by a checked access *)
-  mutable trace_enabled : bool;
-  mutable trace_cap : int;
-  mutable trace_buf : write_record array;  (* grown on demand up to cap *)
-  mutable trace_len : int;  (* live records, <= trace_cap *)
-  mutable trace_pos : int;  (* oldest record once full; else 0 *)
+  mutable trace : write_record Ring.t option;  (* [None]: not tracing *)
   mutable chaos : chaos_hook option;
   mutable observer : access_hook option;
   mutable sync_id : int;
@@ -132,11 +120,7 @@ let create () =
   {
     segments = [];
     hot = None;
-    trace_enabled = false;
-    trace_cap = default_trace_cap;
-    trace_buf = [||];
-    trace_len = 0;
-    trace_pos = 0;
+    trace = None;
     chaos = None;
     observer = None;
     sync_id = 0;
@@ -177,59 +161,17 @@ let segment_of_kind t kind =
 (* ------------------------------------------------------------------ *)
 (* Write tracing (bounded ring)                                        *)
 
-let enable_trace t = t.trace_enabled <- true
+let enable_trace t =
+  if t.trace = None then t.trace <- Some (Ring.create trace_records)
 
-let clear_trace t =
-  t.trace_len <- 0;
-  t.trace_pos <- 0
+let clear_trace t = Option.iter Ring.clear t.trace
+let trace t = match t.trace with Some r -> Ring.to_list r | None -> []
+let trace_dropped t = match t.trace with Some r -> Ring.dropped r | None -> 0
 
-let trace t =
-  if t.trace_len < t.trace_cap then
-    Array.to_list (Array.sub t.trace_buf 0 t.trace_len)
-  else
-    List.init t.trace_len (fun i ->
-        t.trace_buf.((t.trace_pos + i) mod t.trace_cap))
-
-let trace_dropped t = t.stats.trace_dropped
-
-(* Restock the ring from an oldest-first record list (restore,
-   [set_trace_cap]); surplus beyond the cap is the oldest and drops. *)
-let refill_trace t records =
-  let n = List.length records in
-  let surplus = max 0 (n - t.trace_cap) in
-  let kept = if surplus > 0 then List.filteri (fun i _ -> i >= surplus) records
-             else records in
-  t.stats.trace_dropped <- t.stats.trace_dropped + surplus;
-  t.trace_buf <- Array.of_list kept;
-  t.trace_len <- List.length kept;
-  t.trace_pos <- 0
-
-let set_trace_cap t cap =
-  if cap < 1 then invalid_arg "Vmem.set_trace_cap: cap must be positive";
-  let records = trace t in
-  t.trace_cap <- cap;
-  refill_trace t records
-
-let record_write t addr len tag =
-  if t.trace_enabled then begin
-    let r = { w_addr = addr; w_len = len; w_tag = tag } in
-    if t.trace_len < t.trace_cap then begin
-      if t.trace_len >= Array.length t.trace_buf then begin
-        (* grow geometrically toward the cap *)
-        let size = min t.trace_cap (max 64 (2 * Array.length t.trace_buf)) in
-        let buf = Array.make size r in
-        Array.blit t.trace_buf 0 buf 0 t.trace_len;
-        t.trace_buf <- buf
-      end;
-      t.trace_buf.(t.trace_len) <- r;
-      t.trace_len <- t.trace_len + 1
-    end
-    else begin
-      t.trace_buf.(t.trace_pos) <- r;
-      t.trace_pos <- (t.trace_pos + 1) mod t.trace_cap;
-      t.stats.trace_dropped <- t.stats.trace_dropped + 1
-    end
-  end
+let[@inline] record_write t addr len tag =
+  match t.trace with
+  | None -> ()
+  | Some r -> Ring.push r { w_addr = addr; w_len = len; w_tag = tag }
 
 (* ------------------------------------------------------------------ *)
 (* Checked access: byte path                                           *)
@@ -306,7 +248,7 @@ let read_uN t addr n =
   in
   go 0 0
 
-let write_uN ?(tag = "") ?(taint = false) t addr n v =
+let write_uN ~tag ~taint t addr n v =
   for i = 0 to n - 1 do
     write_u8 ~tag ~taint t (addr + i) ((v lsr (8 * i)) land 0xff)
   done
@@ -339,10 +281,10 @@ let seg_span t addr len access =
     seg
   | _ -> None
 
-(* Fast-path gate: only when no chaos hook and no write trace is armed
-   may an access skip the per-byte dispatch. Both act per byte; the
-   observer takes whole spans ([observe]). *)
-let[@inline] quiet t = t.chaos == None && not t.trace_enabled
+(* Fast-path gate: only when no chaos hook is armed may an access skip
+   the per-byte dispatch — chaos acts per byte. The observer and the
+   write trace take whole spans ([span_read], [span_write]). *)
+let[@inline] quiet t = t.chaos == None
 
 let[@inline] fast_span t addr len access =
   if quiet t then seg_span t addr len access else None
@@ -360,7 +302,7 @@ let[@inline] span_read t (seg : Segment.t) addr n =
   | None -> ()
   | Some f -> f ~access:Fault.Read ~addr ~len:n ~taint:false
 
-let[@inline] span_write t (seg : Segment.t) addr n ~taint =
+let[@inline] observe_write t (seg : Segment.t) addr n ~taint =
   let row = t.stats.rows.(Segment.kind_index seg.Segment.kind) in
   row.a_writes <- row.a_writes + n;
   if taint then row.a_taint_writes <- row.a_taint_writes + n;
@@ -368,13 +310,18 @@ let[@inline] span_write t (seg : Segment.t) addr n ~taint =
   | None -> ()
   | Some f -> f ~access:Fault.Write ~addr ~len:n ~taint
 
+(* A fast-path write span: accounted and observed as above, and traced
+   as one record carrying the caller's tag. *)
+let[@inline] span_write t seg addr n ~taint ~tag =
+  observe_write t seg addr n ~taint;
+  record_write t addr n tag
+
 (* Shadow the byte-path [read_u8]/[write_u8] above with fast-span
    variants. The byte path stays the fallback — and the reference
    semantics — for straddles (impossible at width 1, but unmapped or
-   protected bytes land there), a chaos hook and the trace. Accounting
-   and observation are identical: one read/write bump on the segment's
-   row and one observer call, taint splat, and no write record (the
-   trace forces the byte path). *)
+   protected bytes land there) and a chaos hook. Accounting,
+   observation and tracing are identical: one read/write bump on the
+   segment's row, one observer call, one write record, taint splat. *)
 let read_u8_byte = read_u8
 let write_u8_byte = write_u8
 
@@ -388,11 +335,11 @@ let read_u8 t addr =
 let write_u8 ?(tag = "") ?(taint = false) t addr v =
   match fast_span t addr 1 Fault.Write with
   | Some seg ->
-    span_write t seg addr 1 ~taint;
+    span_write t seg addr 1 ~taint ~tag;
     let off = addr - seg.Segment.base in
     Bytes.unsafe_set seg.Segment.bytes off (Char.unsafe_chr (v land 0xff));
     Bytes.unsafe_set seg.Segment.taint off (taint_char taint);
-    Segment.mark_dirty seg off 1
+    Cow.Bitmap.mark seg.Segment.dirty off 1
   | None -> write_u8_byte ~tag ~taint t addr v
 
 let read_u16 t addr =
@@ -402,15 +349,15 @@ let read_u16 t addr =
     Bytes.get_uint16_le seg.Segment.bytes (addr - seg.Segment.base)
   | None -> read_uN t addr 2
 
-let write_u16 ?tag ?(taint = false) t addr v =
+let write_u16 ?(tag = "") ?(taint = false) t addr v =
   match fast_span t addr 2 Fault.Write with
   | Some seg ->
-    span_write t seg addr 2 ~taint;
+    span_write t seg addr 2 ~taint ~tag;
     let off = addr - seg.Segment.base in
     Bytes.set_uint16_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 2 (taint_char taint);
-    Segment.mark_dirty seg off 2
-  | None -> write_uN ?tag ~taint t addr 2 v
+    Cow.Bitmap.mark seg.Segment.dirty off 2
+  | None -> write_uN ~tag ~taint t addr 2 v
 
 let read_u32 t addr =
   match fast_span t addr 4 Fault.Read with
@@ -420,15 +367,15 @@ let read_u32 t addr =
     land 0xffffffff
   | None -> read_uN t addr 4
 
-let write_u32 ?tag ?(taint = false) t addr v =
+let write_u32 ?(tag = "") ?(taint = false) t addr v =
   match fast_span t addr 4 Fault.Write with
   | Some seg ->
-    span_write t seg addr 4 ~taint;
+    span_write t seg addr 4 ~taint ~tag;
     let off = addr - seg.Segment.base in
     Bytes.set_int32_le seg.Segment.bytes off (Int32.of_int v);
     Bytes.fill seg.Segment.taint off 4 (taint_char taint);
-    Segment.mark_dirty seg off 4
-  | None -> write_uN ?tag ~taint t addr 4 (v land 0xffffffff)
+    Cow.Bitmap.mark seg.Segment.dirty off 4
+  | None -> write_uN ~tag ~taint t addr 4 (v land 0xffffffff)
 
 let read_u64 t addr =
   match fast_span t addr 8 Fault.Read with
@@ -440,17 +387,17 @@ let read_u64 t addr =
     let hi = Int64.of_int (read_uN t (addr + 4) 4) in
     Int64.logor lo (Int64.shift_left hi 32)
 
-let write_u64 ?tag ?(taint = false) t addr v =
+let write_u64 ?(tag = "") ?(taint = false) t addr v =
   match fast_span t addr 8 Fault.Write with
   | Some seg ->
-    span_write t seg addr 8 ~taint;
+    span_write t seg addr 8 ~taint ~tag;
     let off = addr - seg.Segment.base in
     Bytes.set_int64_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 8 (taint_char taint);
-    Segment.mark_dirty seg off 8
+    Cow.Bitmap.mark seg.Segment.dirty off 8
   | None ->
-    write_uN ?tag ~taint t addr 4 Int64.(to_int (logand v 0xffffffffL));
-    write_uN ?tag ~taint t (addr + 4) 4
+    write_uN ~tag ~taint t addr 4 Int64.(to_int (logand v 0xffffffffL));
+    write_uN ~tag ~taint t (addr + 4) 4
       Int64.(to_int (logand (shift_right_logical v 32) 0xffffffffL))
 
 let read_f64 t addr = Int64.float_of_bits (read_u64 t addr)
@@ -479,7 +426,7 @@ let poke_bytes t addr s =
     | Some seg when addr + len <= Segment.limit seg ->
       let off = addr - seg.Segment.base in
       Bytes.blit_string s 0 seg.Segment.bytes off len;
-      Segment.mark_dirty seg off len
+      Cow.Bitmap.mark seg.Segment.dirty off len
     | _ -> String.iteri (fun i c -> poke_u8 t (addr + i) (Char.code c)) s
 
 let to_signed32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
@@ -531,30 +478,32 @@ let blit ?(tag = "blit") t ~src ~dst ~len =
     done;
     span_read t sseg src len;
     (* The write carries the copied taint: one span when it is uniform,
-       else one byte at a time with each source byte's taint, as the
-       byte path reports it. *)
+       else observed one byte at a time with each source byte's taint, as
+       the byte path reports it. Either way it is one write record. *)
     if !tainted = 0 || !tainted = len then
-      span_write t dseg dst len ~taint:(!tainted > 0)
-    else
+      span_write t dseg dst len ~taint:(!tainted > 0) ~tag
+    else begin
       for i = 0 to len - 1 do
-        span_write t dseg (dst + i) 1
+        observe_write t dseg (dst + i) 1
           ~taint:(Bytes.unsafe_get staint (soff + i) <> '\000')
       done;
+      record_write t dst len tag
+    end;
     (* Bytes.blit is memmove: both copies tolerate src/dst overlap inside
        one segment, matching the buffered byte path. *)
     Bytes.blit sseg.Segment.bytes soff dseg.Segment.bytes doff len;
     Bytes.blit staint soff dseg.Segment.taint doff len;
-    Segment.mark_dirty dseg doff len
+    Cow.Bitmap.mark dseg.Segment.dirty doff len
   | None -> blit_bytepath ~tag t ~src ~dst ~len
 
 let fill ?(tag = "fill") ?(taint = false) t ~dst ~len v =
   match fast_span t dst len Fault.Write with
   | Some seg when len > 0 ->
-    span_write t seg dst len ~taint;
+    span_write t seg dst len ~taint ~tag;
     let off = dst - seg.Segment.base in
     Bytes.fill seg.Segment.bytes off len (Char.chr (v land 0xff));
     Bytes.fill seg.Segment.taint off len (taint_char taint);
-    Segment.mark_dirty seg off len
+    Cow.Bitmap.mark seg.Segment.dirty off len
   | _ ->
     for i = 0 to len - 1 do
       write_u8 ~tag ~taint t (dst + i) v
@@ -564,11 +513,11 @@ let write_bytes ?(tag = "blit") ?(taint = false) t addr s =
   let len = String.length s in
   match fast_span t addr len Fault.Write with
   | Some seg when len > 0 ->
-    span_write t seg addr len ~taint;
+    span_write t seg addr len ~taint ~tag;
     let off = addr - seg.Segment.base in
     Bytes.blit_string s 0 seg.Segment.bytes off len;
     Bytes.fill seg.Segment.taint off len (taint_char taint);
-    Segment.mark_dirty seg off len
+    Cow.Bitmap.mark seg.Segment.dirty off len
   | _ -> String.iteri (fun i c -> write_u8 ~tag ~taint t (addr + i) (Char.code c)) s
 
 let write_string ?(tag = "str") ?taint t addr s = write_bytes ~tag ?taint t addr s
@@ -739,7 +688,7 @@ let set_taint t addr len tainted =
   | Some seg when len > 0 ->
     let off = addr - seg.Segment.base in
     Bytes.fill seg.Segment.taint off len (taint_char tainted);
-    Segment.mark_dirty seg off len
+    Cow.Bitmap.mark seg.Segment.dirty off len
   | _ ->
     for i = 0 to len - 1 do
       let seg = checked t (addr + i) Fault.Read in
@@ -776,7 +725,8 @@ let[@inline] same_identity (s : Segment.t) fz =
 
 (* Mark every segment clean and record [snap] as the sync point. *)
 let sync_to t snap =
-  List.iter Segment.clear_dirty t.segments;
+  List.iter (fun (s : Segment.t) -> Cow.Bitmap.clear s.Segment.dirty)
+    t.segments;
   t.sync_id <- snap.sn_id;
   t.last_snap <- Some snap
 
@@ -789,7 +739,7 @@ let snapshot t =
     match t.last_snap with
     | Some prev when t.sync_id <> 0 && prev.sn_id = t.sync_id ->
       fun (s : Segment.t) ->
-        if s.Segment.dirty_any then None
+        if Cow.Bitmap.any s.Segment.dirty then None
         else
           (match List.find_opt (same_identity s) prev.sn_segments with
           | Some fz -> Some { fz with fz_perm = s.Segment.perm }
@@ -798,7 +748,7 @@ let snapshot t =
   in
   let snap =
     {
-      sn_id = 1 + Atomic.fetch_and_add snap_ids 1;
+      sn_id = Cow.fresh_gen ();
       sn_segments =
         List.map
           (fun (s : Segment.t) ->
@@ -806,8 +756,7 @@ let snapshot t =
             | Some fz -> fz
             | None -> fz_of_segment s)
           t.segments;
-      sn_trace_enabled = t.trace_enabled;
-      sn_trace = trace t;
+      sn_trace = Option.map Ring.copy t.trace;
     }
   in
   sync_to t snap;
@@ -845,8 +794,7 @@ let restore_full t snap =
   t.segments <- restored;
   (* the cached segment may have been mapped after the snapshot *)
   t.hot <- None;
-  t.trace_enabled <- snap.sn_trace_enabled;
-  refill_trace t snap.sn_trace;
+  t.trace <- Option.map Ring.copy snap.sn_trace;
   sync_to t snap
 
 (* Defensive: the sync token should already guarantee alignment (only
@@ -865,16 +813,15 @@ let restore t snap =
     List.iter2
       (fun (s : Segment.t) fz ->
         s.Segment.perm <- fz.fz_perm;
-        if s.Segment.dirty_any then begin
-          Segment.iter_dirty_runs s (fun off len ->
+        if Cow.Bitmap.any s.Segment.dirty then begin
+          Cow.Bitmap.iter_runs s.Segment.dirty (fun off len ->
               Bytes.blit fz.fz_bytes off s.Segment.bytes off len;
               Bytes.blit fz.fz_taint off s.Segment.taint off len);
-          Segment.clear_dirty s
+          Cow.Bitmap.clear s.Segment.dirty
         end)
       t.segments snap.sn_segments;
     (* the segment list is unchanged, so [t.hot] stays valid *)
-    t.trace_enabled <- snap.sn_trace_enabled;
-    if t.trace_len > 0 || snap.sn_trace <> [] then refill_trace t snap.sn_trace;
+    t.trace <- Option.map Ring.copy snap.sn_trace;
     t.last_snap <- Some snap
   end
   else restore_full t snap

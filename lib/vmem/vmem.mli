@@ -7,13 +7,13 @@
     derives from attacker input and travels with copies.
 
     Scalar accessors take a fast path — one segment lookup, one
-    permission check, one stats bump, one observer call, one taint
-    splat against the segment's backing bytes — whenever the whole
-    range lies inside one segment and no chaos hook or write trace is
-    armed. Any other case (straddle, unmapped gap, protection boundary,
-    chaos hook, trace) falls back to the per-byte reference path, so
-    faults, observations, taint and chaos injection are
-    bit-identical. *)
+    permission check, one stats bump, one observer call, one write
+    record when tracing, one taint splat against the segment's backing
+    bytes — whenever the whole range lies inside one segment and no
+    chaos hook is armed. Any other case (straddle, unmapped gap,
+    protection boundary, chaos hook) falls back to the per-byte
+    reference path, so faults, observations, taint, chaos injection and
+    the bytes the write trace covers are identical either way. *)
 
 type write_record = { w_addr : int; w_len : int; w_tag : string }
 
@@ -59,8 +59,8 @@ val of_signed32 : int -> int
     one resolution for the taint query and another for the read.
     Accounting and semantics are exactly [read_uN] + [range_tainted]:
     reads are bumped by the access width, the taint scan is unaccounted,
-    and when the fast path does not apply (chaos or trace armed,
-    straddling span) the two calls are made in that order. The integer variants return
+    and when the fast path does not apply (chaos armed, straddling
+    span) the two calls are made in that order. The integer variants return
     [bits lsl 1 lor taint] — packed in one immediate so the hot load
     path stays allocation-free. *)
 
@@ -124,8 +124,7 @@ type access_hook =
     permission check succeeds for all of it, before the bytes move.
     The fast path makes one call per span, which always lies inside one
     segment; the byte path makes one call per byte ([len = 1]). Arming
-    it does not disable the fast path — a chaos hook or the write trace
-    does. [taint] is the taint the span is written with ([false] for
+    it does not disable the fast path — a chaos hook does. [taint] is the taint the span is written with ([false] for
     reads); a block copy whose source taint is mixed reports its write
     one byte at a time, so every call carries one taint. Cannot perturb
     the access; the sanitizer uses it to classify accesses against its
@@ -180,8 +179,6 @@ type stats = {
       (** the same rows, indexed by {!Segment.kind_index} — the form the
           accessors' hot path uses *)
   mutable faults : int;
-  mutable trace_dropped : int;
-      (** write records evicted by the bounded trace ring *)
 }
 
 val access_stats : t -> stats
@@ -193,20 +190,25 @@ val pp_stats : Format.formatter -> t -> unit
 
 (** {1 Write tracing}
 
-    Enabling the trace forces every write onto the per-byte path (one
-    record per byte written). Records land in a bounded ring: once
-    [cap] records are retained each new record evicts the oldest and
-    counts into [stats.trace_dropped]. *)
+    Each checked write is recorded as one [{w_addr; w_len; w_tag}]
+    extent per access span, tagged by the caller: the fast path records
+    the whole span it wrote, the byte path (chaos armed, straddles,
+    faults) one byte per record. Tracing does not force the byte path,
+    and the records, in order, cover exactly the bytes written — each
+    inside one segment. They land in a bounded {!Pna_ring.Ring} of the
+    newest 65536 records; older ones are counted by {!trace_dropped}.
+    The ring, its drop count and whether tracing is on are memory
+    state: {!snapshot} copies them and {!restore} rewinds them. *)
 
 val enable_trace : t -> unit
-val clear_trace : t -> unit
+(** Start tracing (no-op when already on). *)
 
-val set_trace_cap : t -> int -> unit
-(** Bound the ring to [cap] records (default 65536), evicting the
-    oldest surplus. @raise Invalid_argument when [cap < 1]. *)
+val clear_trace : t -> unit
+(** Forget every record and the drop count. *)
 
 val trace_dropped : t -> int
-(** Total records evicted from the ring; monotonic like {!stats}. *)
+(** Records evicted from the ring since tracing began or the last
+    {!clear_trace}. *)
 
 val trace : t -> write_record list
 (** Retained records, oldest first. *)

@@ -271,8 +271,6 @@ let test_e18_empty_forensics_fails () =
       t18_compat =
         { E.c_v1_versions = true; c_v1_roundtrip = true; c_v2_roundtrip = true;
           c_stats_roundtrip = true };
-      t18_overhead =
-        { E.ov_baseline_s = 0.02; ov_production_s = 0.02; ov_ratio = 1.0 };
     }
   in
   let g = E.gate "E18" "synthetic" (fun () -> report) E.pp_e18 E.e18_ok in

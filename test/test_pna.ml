@@ -11,6 +11,7 @@ let () =
   Alcotest.run "pna"
     [
       Test_rand.suite;
+      Test_ring.suite;
       Test_vmem.suite;
       Test_layout.suite;
       Test_heap.suite;

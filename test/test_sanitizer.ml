@@ -400,8 +400,9 @@ let span_op_gen =
         (2, map3 (fun a n t -> Set_taint (a, n, t)) addr len bool);
       ])
 
+(* [s] is [None] on a space without the oracle: poisons are skipped *)
 let span_apply m s = function
-  | Poison_op op -> apply_op s op; ""
+  | Poison_op op -> Option.iter (fun s -> apply_op s op) s; ""
   | Read (1, a) -> string_of_int (Vmem.read_u8 m a)
   | Read (2, a) -> string_of_int (Vmem.read_u16 m a)
   | Read (4, a) -> string_of_int (Vmem.read_u32 m a)
@@ -455,8 +456,74 @@ let prop_span_equals_bytewise =
       in
       let (qm, qs) = twin () and (bm, bs) = twin () in
       Vmem.set_chaos bm (Some (fun ~access:_ ~addr:_ ~byte -> byte));
-      List.for_all (fun op -> span_outcome qm qs op = span_outcome bm bs op) ops
+      List.for_all
+        (fun op -> span_outcome qm (Some qs) op = span_outcome bm (Some bs) op)
+        ops
       && oracle_state qm qs = oracle_state bm bs)
+
+(* Tracing is unobservable. Three twins run the same stream, plain or
+   with the oracle attached: untraced, traced, and traced under an
+   identity chaos hook (the per-byte reference path). The traced twin
+   must agree with the untraced one on every result, the memory, the
+   accounting and the oracle's records and shadow. Its trace, in order,
+   must cover exactly the written bytes: the extents sum to the write
+   count (the stream stays under the ring's bound), each lies inside one
+   segment, and expanded to bytes they are the per-byte twin's records,
+   tags included. *)
+let prop_tracing_unobservable =
+  QCheck.Test.make ~count:300 ~name:"tracing is unobservable"
+    QCheck.(
+      make
+        ~print:(fun (san, ops) ->
+          Fmt.(str "sanitized=%b %a" san (Dump.list pp_span_op)) ops)
+        Gen.(pair bool (list_size (int_range 1 40) span_op_gen)))
+    (fun (sanitized, ops) ->
+      let twin () =
+        let m = mk_multi_seg () in
+        (m, if sanitized then Some (San.attach m) else None)
+      in
+      let (um, us) = twin () and (tm, ts) = twin () and (bm, bs) = twin () in
+      Vmem.enable_trace tm;
+      Vmem.enable_trace bm;
+      Vmem.set_chaos bm (Some (fun ~access:_ ~addr:_ ~byte -> byte));
+      let observable m s =
+        ( List.map
+            (fun seg ->
+              (Bytes.to_string seg.Segment.bytes, Bytes.to_string seg.Segment.taint))
+            (Vmem.segments m),
+          (Vmem.total_reads m, Vmem.total_writes m, Vmem.total_taint_writes m,
+           Vmem.total_faults m),
+          Option.map (oracle_state m) s )
+      in
+      let bytes_of records =
+        List.concat_map
+          (fun r -> List.init r.Vmem.w_len (fun i -> (r.Vmem.w_addr + i, r.Vmem.w_tag)))
+          records
+      in
+      let inside_one_segment r =
+        r.Vmem.w_len >= 1
+        &&
+        match Vmem.find_segment tm r.Vmem.w_addr with
+        | Some seg -> r.Vmem.w_addr + r.Vmem.w_len <= Segment.limit seg
+        | None -> false
+      in
+      let same_results =
+        List.for_all
+          (fun op ->
+            let u = span_outcome um us op in
+            let t = span_outcome tm ts op in
+            ignore (span_outcome bm bs op);
+            u = t)
+          ops
+      in
+      let records = Vmem.trace tm in
+      same_results
+      && observable um us = observable tm ts
+      && Vmem.trace_dropped tm = 0
+      && List.fold_left (fun n r -> n + r.Vmem.w_len) 0 records
+         = Vmem.total_writes tm
+      && List.for_all inside_one_segment records
+      && bytes_of records = bytes_of (Vmem.trace bm))
 
 (* ---- heap wiring: redzones, quarantine, double free ---- *)
 
@@ -665,6 +732,7 @@ let suite =
       t "kind names round-trip" test_kind_names_roundtrip;
       QCheck_alcotest.to_alcotest prop_range_writes_match_model;
       QCheck_alcotest.to_alcotest prop_span_equals_bytewise;
+      QCheck_alcotest.to_alcotest prop_tracing_unobservable;
       t "heap shadow geometry" test_heap_shadow_geometry;
       t "use-after-free detected via quarantine" test_use_after_free_detected;
       t "quarantine bounded, evictions reusable"

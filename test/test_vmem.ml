@@ -141,8 +141,9 @@ let test_trace () =
   Vmem.enable_trace m;
   Vmem.write_u32 ~tag:"x" m 0x1000 1;
   let t = Vmem.trace m in
-  Alcotest.(check int) "4 byte-writes" 4 (List.length t);
-  Alcotest.(check string) "tag" "x" (List.hd t).Vmem.w_tag;
+  Alcotest.(check (list (triple int int string))) "one 4-byte span"
+    [ (0x1000, 4, "x") ]
+    (List.map (fun r -> (r.Vmem.w_addr, r.Vmem.w_len, r.Vmem.w_tag)) t);
   Vmem.clear_trace m;
   Alcotest.(check int) "cleared" 0 (List.length (Vmem.trace m))
 
@@ -199,33 +200,45 @@ let prop_fill_then_read =
 let test_trace_ring_bounded () =
   let m = mk () in
   Vmem.enable_trace m;
-  Vmem.set_trace_cap m 8;
-  for i = 0 to 19 do
-    Vmem.write_u8 ~tag:"w" m (0x1000 + i) i
+  (* past the ring's fixed bound, whatever it is *)
+  let n = 70_000 in
+  for i = 0 to n - 1 do
+    Vmem.write_u8 ~tag:"w" m (0x1000 + (i land 0xfff)) i
   done;
   let t = Vmem.trace m in
-  Alcotest.(check int) "ring holds cap records" 8 (List.length t);
+  let dropped = Vmem.trace_dropped m in
+  Alcotest.(check bool) "evictions counted" true (dropped > 0);
+  Alcotest.(check int) "every write retained or counted as a drop" n
+    (List.length t + dropped);
   Alcotest.(check (list int)) "oldest evicted, newest retained, in order"
-    [ 0x100c; 0x100d; 0x100e; 0x100f; 0x1010; 0x1011; 0x1012; 0x1013 ]
-    (List.map (fun r -> r.Vmem.w_addr) t);
-  Alcotest.(check int) "evictions counted" 12 (Vmem.trace_dropped m);
-  Alcotest.(check int) "surfaced in stats" 12
-    (Vmem.access_stats m).Vmem.trace_dropped
+    (List.init (List.length t) (fun i -> 0x1000 + ((dropped + i) land 0xfff)))
+    (List.map (fun r -> r.Vmem.w_addr) t)
 
-let test_set_trace_cap () =
+(* the ring and its drop count are memory state: a restore
+   rewinds them to the snapshot's, even once the ring has wrapped *)
+let test_trace_ring_rewinds () =
   let m = mk () in
-  Alcotest.check_raises "cap must be positive"
-    (Invalid_argument "Vmem.set_trace_cap: cap must be positive") (fun () ->
-      Vmem.set_trace_cap m 0);
   Vmem.enable_trace m;
-  for i = 0 to 5 do
-    Vmem.write_u8 m (0x1000 + i) i
+  for i = 0 to 69_999 do
+    Vmem.write_u8 m (0x1000 + (i land 0xfff)) i
   done;
-  Vmem.set_trace_cap m 4;
-  Alcotest.(check (list int)) "shrinking evicts the oldest"
-    [ 0x1002; 0x1003; 0x1004; 0x1005 ]
-    (List.map (fun r -> r.Vmem.w_addr) (Vmem.trace m));
-  Alcotest.(check int) "shrink evictions counted" 2 (Vmem.trace_dropped m)
+  let want = (Vmem.trace m, Vmem.trace_dropped m) in
+  Alcotest.(check bool) "ring wrapped before the snapshot" true (snd want > 0);
+  let snap = Vmem.snapshot m in
+  for i = 0 to 99 do
+    Vmem.write_u8 ~tag:"after" m (0x1000 + i) i
+  done;
+  Vmem.restore m snap;
+  Alcotest.(check bool) "records and drops rewound" true
+    ((Vmem.trace m, Vmem.trace_dropped m) = want);
+  (* a fresh space restored from the snapshot takes the full-copy path *)
+  let twin = mk () in
+  Vmem.restore twin snap;
+  Alcotest.(check bool) "full-copy restore agrees" true
+    ((Vmem.trace twin, Vmem.trace_dropped twin) = want);
+  Vmem.clear_trace m;
+  Alcotest.(check int) "clear forgets the records" 0 (List.length (Vmem.trace m));
+  Alcotest.(check int) "clear forgets the drops" 0 (Vmem.trace_dropped m)
 
 let test_trace_survives_restore () =
   let m = mk () in
@@ -241,7 +254,8 @@ let test_trace_survives_restore () =
 
 (* the observer sees every accessed byte exactly once: whole spans on a
    quiet space, one byte per call when a chaos hook forces the per-byte
-   path; chaos and the trace still see one call per byte *)
+   path; chaos still sees one call per byte, the trace one record per
+   written span *)
 
 let bulk_ops m =
   Vmem.write_u32 m 0x1000 0xdeadbeef;
@@ -296,12 +310,21 @@ let test_chaos_bypasses_fast_path () =
   Alcotest.(check int) "one chaos call per byte" (bulk_reads + bulk_writes)
     !calls
 
-let test_trace_bypasses_fast_path () =
+let test_trace_records_spans () =
   let m = mk () in
   Vmem.enable_trace m;
   bulk_ops m;
-  let recorded = List.fold_left (fun n r -> n + r.Vmem.w_len) 0 (Vmem.trace m) in
-  Alcotest.(check int) "every written byte traced" bulk_writes recorded
+  Alcotest.(check (list (triple int int string)))
+    "one extent per written span, with the caller's tag"
+    [
+      (0x1000, 4, ""); (0x1010, 2, ""); (0x1100, 16, "blit");
+      (0x1200, 5, "blit"); (0x1300, 8, "fill");
+    ]
+    (List.map (fun r -> (r.Vmem.w_addr, r.Vmem.w_len, r.Vmem.w_tag)) (Vmem.trace m));
+  Alcotest.(check int) "reads counted as on a quiet space" bulk_reads
+    (Vmem.total_reads m);
+  Alcotest.(check int) "writes counted as on a quiet space" bulk_writes
+    (Vmem.total_writes m)
 
 (* the fast-path accounting matches a hook-free twin exactly *)
 let test_fast_path_accounting () =
@@ -554,11 +577,11 @@ let suite =
       t "find_segment" test_find_segment;
       t "segments sorted" test_segments_sorted;
       t "trace ring bounded, drops counted" test_trace_ring_bounded;
-      t "set_trace_cap validates and evicts" test_set_trace_cap;
+      t "trace ring and drops rewind" test_trace_ring_rewinds;
       t "trace state survives restore" test_trace_survives_restore;
       t "observer covers every byte" test_observer_covers_every_byte;
       t "chaos hook forces per-byte path" test_chaos_bypasses_fast_path;
-      t "trace forces per-byte writes" test_trace_bypasses_fast_path;
+      t "trace records one extent per span" test_trace_records_spans;
       t "fast path counts like byte path" test_fast_path_accounting;
       QCheck_alcotest.to_alcotest prop_u32_roundtrip;
       QCheck_alcotest.to_alcotest prop_signed_roundtrip;
