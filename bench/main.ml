@@ -289,8 +289,9 @@ let ablation_group =
 
 (* E12: the scenario service — batch throughput at each domain count and
    the amortisation ladder a request descends: fresh image load, snapshot
-   rewind of a prepared machine, memo-cache hit (on a locally prepared
-   key, and on one evicted from the worker's prepared cache) *)
+   rewind of a prepared machine, a replica thawed from a frozen image
+   (plain and sanitized), memo-cache hit (on a locally prepared key, and
+   on one evicted from the worker's prepared cache) *)
 module Service = Pna_service.Service
 
 (* batch_32 is kept for continuity, but 32 jobs finish in ~10ms — too
@@ -336,6 +337,14 @@ let service_group =
       Test.make ~name:"service/run_prepared" (stage (
           let p = Driver.prepare Pna.Experiments.benign_pool in
           fun () -> ignore (Driver.run_prepared p)));
+      Test.make ~name:"service/thaw" (stage (
+          let im = Driver.freeze (Driver.prepare Pna.Experiments.benign_pool) in
+          fun () -> ignore (Driver.thaw im)));
+      Test.make ~name:"service/thaw_sanitized" (stage (
+          let im =
+            Driver.freeze (Driver.prepare ~sanitize:true Pna.Experiments.benign_pool)
+          in
+          fun () -> ignore (Driver.thaw im)));
       Test.make ~name:"service/memo_hit" (stage (
           let svc = Service.create ~jobs:1 () in
           let j = Service.job ~config:Config.none Pna.Experiments.benign_pool in

@@ -293,9 +293,10 @@ let freeze p =
 
 (* Instantiate a domain-local replica: a blank machine shell over the
    same fixed address map, the oracle re-attached when the image was
-   sanitized, then one full-copy restore to the shared snapshot. After
-   that first restore the replica is synced, so its per-run rewinds blit
-   only dirty pages. [Layout.of_class] memoizes into the env's tables, so
+   sanitized, then one restore to the shared snapshot, which copies every
+   byte (a fresh shell's stores are synced to nothing). After that first
+   restore the replica is synced, so its per-run rewinds blit only dirty
+   pages. [Layout.of_class] memoizes into the env's tables, so
    each replica gets its own copy of the env rather than racing other
    domains on the shared one (the layout values themselves are
    immutable). *)

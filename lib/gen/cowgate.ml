@@ -12,11 +12,9 @@
       second run rewinds a dirtied machine — the path under test) and
       are then rewound one final time, and
     - the reference: a freshly thawed replica for every round and for
-      the final state. A fresh shell has no sync token and fresh
-      generation tokens, so its one restore takes the full-copy path at
-      every layer — segment pages, shadow pages, symbol and
-      vtable/global/literal tables — the same path every production
-      thaw runs
+      the final state. A fresh shell's byte stores are synced to
+      nothing, so its one restore copies every byte of every segment
+      and shadow — the same path every production thaw runs
 
     — over the whole attack catalogue (defenses off and fully on, plain
     and sanitized) and a seeded stream of generated genomes. Compared:

@@ -20,6 +20,9 @@ type dispatch_result =
   | Virtual_ok of string  (** impl symbol found in the vtable slot *)
   | Virtual_hijacked of { target : int; symbol : string option; tainted : bool }
 
+module SMap = Map.Make (String)
+module IMap = Map.Make (Int)
+
 type t = {
   mem : Pna_vmem.Vmem.t;
   env : Layout.env;
@@ -35,15 +38,14 @@ type t = {
   mutable data_cursor : int;
   mutable bss_cursor : int;
   mutable rodata_cursor : int;
-  vtable_addrs : (string, (int * int) list) Hashtbl.t;
+  (* Load-time tables, persistent so a snapshot holds them as they are
+     and a restore assigns them back. *)
+  mutable vtable_addrs : (int * int) list SMap.t;
       (* class -> [(vptr offset, table address)]; offset 0 is primary *)
-  vtable_classes : (int, string * int) Hashtbl.t;
+  mutable vtable_classes : (string * int) IMap.t;
       (* table address -> (class, vptr offset) *)
-  globals : (string, int * Ctype.t) Hashtbl.t;
-  literals : (string, int) Hashtbl.t;  (** interned untainted strings *)
-  mutable tbl_gen : int;
-      (* generation token over the four tables above; minted fresh at
-         every mutation so [restore] can prove them unchanged *)
+  mutable globals : (int * Ctype.t) SMap.t;
+  mutable literals : int SMap.t;  (** interned untainted strings *)
   mutable input_ints : int list;
   mutable input_strings : string list;
   mutable output : string list;  (** newest first *)
@@ -91,11 +93,10 @@ let create ?(heap_size = default_heap_size) ~config env =
     data_cursor = data_base;
     bss_cursor = bss_base;
     rodata_cursor = rodata_base;
-    vtable_addrs = Hashtbl.create 8;
-    vtable_classes = Hashtbl.create 8;
-    globals = Hashtbl.create 16;
-    literals = Hashtbl.create 16;
-    tbl_gen = Pna_vmem.Cow.fresh_gen ();
+    vtable_addrs = SMap.empty;
+    vtable_classes = IMap.empty;
+    globals = SMap.empty;
+    literals = SMap.empty;
     input_ints = [];
     input_strings = [];
     output = [];
@@ -174,10 +175,6 @@ let symbol_at t addr = Text.symbol_at t.text addr
    (override-resolved) implementations — the Itanium-ABI shape, minus
    thunks. Must be called after all classes are defined and all method
    implementation symbols registered. *)
-(* Any mutation of the vtable/global/literal tables must mint a fresh
-   generation token, or [restore] would wrongly skip rebuilding them. *)
-let[@inline] touch_tables t = t.tbl_gen <- Pna_vmem.Cow.fresh_gen ()
-
 let emit_vtables t =
   let classes =
     Hashtbl.fold (fun name _ acc -> name :: acc) t.env.Layout.classes []
@@ -186,8 +183,7 @@ let emit_vtables t =
   let emit_table cname ~vptr_off slots =
     let addr = t.rodata_cursor in
     t.rodata_cursor <- t.rodata_cursor + (4 * List.length slots);
-    touch_tables t;
-    Hashtbl.replace t.vtable_classes addr (cname, vptr_off);
+    t.vtable_classes <- IMap.add addr (cname, vptr_off) t.vtable_classes;
     List.iteri
       (fun i (_, impl) ->
         let fn = register_function t impl in
@@ -198,7 +194,7 @@ let emit_vtables t =
   List.iter
     (fun cname ->
       let l = Layout.of_class t.env cname in
-      if l.Layout.l_vtable <> [] && not (Hashtbl.mem t.vtable_addrs cname) then begin
+      if l.Layout.l_vtable <> [] && not (SMap.mem cname t.vtable_addrs) then begin
         let primary = emit_table cname ~vptr_off:0 l.Layout.l_vtable in
         let secondaries =
           List.filter_map
@@ -221,8 +217,8 @@ let emit_vtables t =
                   Some (off, emit_table cname ~vptr_off:off slots))
             l.Layout.l_bases
         in
-        touch_tables t;
-        Hashtbl.replace t.vtable_addrs cname ((0, primary) :: secondaries)
+        t.vtable_addrs <-
+          SMap.add cname ((0, primary) :: secondaries) t.vtable_addrs
       end)
     classes
 
@@ -230,7 +226,7 @@ let emit_vtables t =
    memory, NUL-terminated. Untainted literals are deduplicated, like a
    compiler's string pool; tainted strings get a fresh copy per read. *)
 let intern_string ?(tainted = false) t s =
-  match if tainted then None else Hashtbl.find_opt t.literals s with
+  match if tainted then None else SMap.find_opt s t.literals with
   | Some addr -> addr
   | None ->
     let len = String.length s + 1 in
@@ -251,18 +247,15 @@ let intern_string ?(tainted = false) t s =
     Pna_vmem.Vmem.poke_u8 t.mem (addr + String.length s) 0;
     if tainted && String.length s > 0 then
       Pna_vmem.Vmem.set_taint t.mem addr (String.length s) true
-    else begin
-      touch_tables t;
-      Hashtbl.replace t.literals s addr
-    end;
+    else t.literals <- SMap.add s addr t.literals;
     addr
 
 (* The class' primary vtable address. *)
 let vtable_addr t cname =
-  Option.bind (Hashtbl.find_opt t.vtable_addrs cname) (List.assoc_opt 0)
+  Option.bind (SMap.find_opt cname t.vtable_addrs) (List.assoc_opt 0)
 
 let class_of_vtable t addr =
-  Option.map fst (Hashtbl.find_opt t.vtable_classes addr)
+  Option.map fst (IMap.find_opt addr t.vtable_classes)
 
 (* Write the hidden vtable pointer(s) of a [cname] object at [addr] — each
    vptr gets the table matching its subobject. The writes are ordinary
@@ -270,7 +263,7 @@ let class_of_vtable t addr =
    subterfuge. *)
 let install_vptrs t ~addr ~cname =
   let l = Layout.of_class t.env cname in
-  match Hashtbl.find_opt t.vtable_addrs cname with
+  match SMap.find_opt cname t.vtable_addrs with
   | None -> ()
   | Some tables ->
     List.iter
@@ -328,7 +321,7 @@ let dispatch t ~obj_addr ~static_class ~meth =
   let vptr_addr = obj_addr + vptr_off in
   let vptr = Pna_vmem.Vmem.read_u32 t.mem vptr_addr in
   let vptr_tainted = Pna_vmem.Vmem.range_tainted t.mem vptr_addr 4 in
-  let known_table = Hashtbl.mem t.vtable_classes vptr in
+  let known_table = IMap.mem vptr t.vtable_classes in
   let target =
     try Pna_vmem.Vmem.read_u32 t.mem (vptr + (4 * slot))
     with Pna_vmem.Fault.Fault _ -> vptr
@@ -354,7 +347,7 @@ let dispatch t ~obj_addr ~static_class ~meth =
 let align_up x a = (x + a - 1) / a * a
 
 let add_global ?(initialized = false) t name ty =
-  if Hashtbl.mem t.globals name then
+  if SMap.mem name t.globals then
     Fmt.invalid_arg "Machine.add_global: duplicate global %s" name;
   let size = Layout.sizeof t.env ty in
   let align = max 1 (Layout.alignof t.env ty) in
@@ -381,12 +374,11 @@ let add_global ?(initialized = false) t name ty =
       a
     end
   in
-  touch_tables t;
-  Hashtbl.replace t.globals name (addr, ty);
+  t.globals <- SMap.add name (addr, ty) t.globals;
   Arena.register t.arenas ~base:addr ~size ~origin:(Arena.Global name);
   addr
 
-let global t name = Hashtbl.find_opt t.globals name
+let global t name = SMap.find_opt name t.globals
 
 let global_addr_exn t name =
   match global t name with
@@ -718,11 +710,10 @@ type snapshot = {
   ms_data_cursor : int;
   ms_bss_cursor : int;
   ms_rodata_cursor : int;
-  ms_vtable_addrs : (string, (int * int) list) Hashtbl.t;
-  ms_vtable_classes : (int, string * int) Hashtbl.t;
-  ms_globals : (string, int * Ctype.t) Hashtbl.t;
-  ms_literals : (string, int) Hashtbl.t;
-  ms_tbl_gen : int;
+  ms_vtable_addrs : (int * int) list SMap.t;
+  ms_vtable_classes : (string * int) IMap.t;
+  ms_globals : (int * Ctype.t) SMap.t;
+  ms_literals : int SMap.t;
   ms_input_ints : int list;
   ms_input_strings : string list;
   ms_output : string list;
@@ -747,20 +738,15 @@ let snapshot t =
     ms_data_cursor = t.data_cursor;
     ms_bss_cursor = t.bss_cursor;
     ms_rodata_cursor = t.rodata_cursor;
-    ms_vtable_addrs = Hashtbl.copy t.vtable_addrs;
-    ms_vtable_classes = Hashtbl.copy t.vtable_classes;
-    ms_globals = Hashtbl.copy t.globals;
-    ms_literals = Hashtbl.copy t.literals;
-    ms_tbl_gen = t.tbl_gen;
+    ms_vtable_addrs = t.vtable_addrs;
+    ms_vtable_classes = t.vtable_classes;
+    ms_globals = t.globals;
+    ms_literals = t.literals;
     ms_input_ints = t.input_ints;
     ms_input_strings = t.input_strings;
     ms_output = t.output;
     ms_san = Option.map San.snapshot t.san;
   }
-
-let restore_table dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (Hashtbl.replace dst) src
 
 (* Rewind the whole process to the snapshot. Chaos hooks are cleared —
    a restored machine must behave exactly like a freshly loaded one, and
@@ -778,18 +764,10 @@ let restore t snap =
   t.data_cursor <- snap.ms_data_cursor;
   t.bss_cursor <- snap.ms_bss_cursor;
   t.rodata_cursor <- snap.ms_rodata_cursor;
-  (* Token equality proves the four tables were not mutated since the
-     snapshot (every mutation mints a fresh one), making the rebuild
-     skippable — which on the service's rewind path is every time:
-     vtables, globals and literals are load-time state, and runtime
-     interning of attacker strings is tainted and thus uninterned. *)
-  if t.tbl_gen <> snap.ms_tbl_gen then begin
-    restore_table t.vtable_addrs snap.ms_vtable_addrs;
-    restore_table t.vtable_classes snap.ms_vtable_classes;
-    restore_table t.globals snap.ms_globals;
-    restore_table t.literals snap.ms_literals;
-    t.tbl_gen <- snap.ms_tbl_gen
-  end;
+  t.vtable_addrs <- snap.ms_vtable_addrs;
+  t.vtable_classes <- snap.ms_vtable_classes;
+  t.globals <- snap.ms_globals;
+  t.literals <- snap.ms_literals;
   t.input_ints <- snap.ms_input_ints;
   t.input_strings <- snap.ms_input_strings;
   t.output <- snap.ms_output;

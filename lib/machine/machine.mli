@@ -73,11 +73,11 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Rewind to the snapshot. Chaos hooks are cleared: a restored machine
-    behaves exactly like a freshly loaded one. Rewinds are copy-on-write
-    end to end — segment and shadow pages blit dirty runs only, and the
-    symbol/vtable/global/literal tables rebuild only when a generation
-    token proves they were mutated — with results bit-identical to the
-    full-copy reference path (the E20 gate). *)
+    behaves exactly like a freshly loaded one. Segment and shadow pages
+    rewind by the {!Pna_vmem.Cow} rule (dirty runs only when synced to
+    this snapshot, every byte otherwise); the symbol, vtable, global and
+    literal tables are persistent maps, put back by assignment. Results
+    are bit-identical to a freshly thawed replica (the E20 gate). *)
 
 (** {1 Text symbols and vtables} *)
 

@@ -8,13 +8,17 @@
     symbol (arc injection, §3.6.2) or to attacker-chosen bytes (code
     injection / crash). *)
 
+module SMap = Map.Make (String)
+module IMap = Map.Make (Int)
+
+(* Persistent tables: a snapshot holds the current maps and a restore
+   assigns them back. *)
 type t = {
   base : int;
   limit : int;
   mutable next : int;
-  by_name : (string, int) Hashtbl.t;
-  by_addr : (int, string) Hashtbl.t;
-  mutable gen : int;  (* generation token; see [Pna_vmem.Cow.fresh_gen] *)
+  mutable by_name : int SMap.t;
+  mutable by_addr : string IMap.t;
 }
 
 (* Each function gets a 16-byte slot, purely for realistic-looking
@@ -28,25 +32,23 @@ let create ~base ~size =
     base;
     limit = base + size;
     next = base;
-    by_name = Hashtbl.create 32;
-    by_addr = Hashtbl.create 32;
-    gen = Pna_vmem.Cow.fresh_gen ();
+    by_name = SMap.empty;
+    by_addr = IMap.empty;
   }
 
 let register t name =
-  match Hashtbl.find_opt t.by_name name with
+  match SMap.find_opt name t.by_name with
   | Some addr -> addr
   | None ->
     if t.next + slot_size > t.limit then
       raise (Full { requested = slot_size; used = t.next - t.base });
     let addr = t.next in
     t.next <- t.next + slot_size;
-    Hashtbl.replace t.by_name name addr;
-    Hashtbl.replace t.by_addr addr name;
-    t.gen <- Pna_vmem.Cow.fresh_gen ();
+    t.by_name <- SMap.add name addr t.by_name;
+    t.by_addr <- IMap.add addr name t.by_addr;
     addr
 
-let address t name = Hashtbl.find_opt t.by_name name
+let address t name = SMap.find_opt name t.by_name
 
 let address_exn t name =
   match address t name with
@@ -57,37 +59,20 @@ let address_exn t name =
 let symbol_at t addr =
   let slot = addr - ((addr - t.base) mod slot_size) in
   if addr < t.base || addr >= t.limit then None
-  else Hashtbl.find_opt t.by_addr slot
+  else IMap.find_opt slot t.by_addr
 
 type snapshot = {
   sn_next : int;
-  sn_by_name : (string, int) Hashtbl.t;
-  sn_by_addr : (int, string) Hashtbl.t;
-  sn_gen : int;
+  sn_by_name : int SMap.t;
+  sn_by_addr : string IMap.t;
 }
 
 let snapshot t =
-  {
-    sn_next = t.next;
-    sn_by_name = Hashtbl.copy t.by_name;
-    sn_by_addr = Hashtbl.copy t.by_addr;
-    sn_gen = t.gen;
-  }
+  { sn_next = t.next; sn_by_name = t.by_name; sn_by_addr = t.by_addr }
 
-(* A matching generation token proves the table was not mutated since
-   the snapshot ([register] mints a fresh token), so the rebuild can be
-   skipped — symbol tables are load-time state, so on the service's
-   rewind path this is every time. *)
 let restore t snap =
-  if t.gen <> snap.sn_gen then begin
-    t.next <- snap.sn_next;
-    Hashtbl.reset t.by_name;
-    Hashtbl.iter (Hashtbl.replace t.by_name) snap.sn_by_name;
-    Hashtbl.reset t.by_addr;
-    Hashtbl.iter (Hashtbl.replace t.by_addr) snap.sn_by_addr;
-    t.gen <- snap.sn_gen
-  end
+  t.next <- snap.sn_next;
+  t.by_name <- snap.sn_by_name;
+  t.by_addr <- snap.sn_by_addr
 
-let symbols t =
-  Hashtbl.fold (fun name addr acc -> (name, addr) :: acc) t.by_name []
-  |> List.sort (fun (_, a) (_, b) -> compare a b)
+let symbols t = List.map (fun (addr, name) -> (name, addr)) (IMap.bindings t.by_addr)

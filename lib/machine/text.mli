@@ -32,5 +32,5 @@ type snapshot
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
-(** Rebuild the symbol tables from the snapshot. Skipped when a
-    generation token proves them unchanged. *)
+(** Put back the snapshot's symbol tables. They are persistent maps, so
+    this is an assignment, never a copy. *)

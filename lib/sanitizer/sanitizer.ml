@@ -43,21 +43,19 @@ type violation = {
 
 module Cow = Pna_vmem.Cow
 
-(* Shadow of one segment: states packed one byte each, plus a dirty-page
-   bitmap so snapshot rewinds blit only touched pages. *)
+(* Shadow of one segment: states packed one byte each, the one layer of
+   a copy-on-write store, so snapshot rewinds blit only touched pages. *)
 type shadow = {
   sh_base : int;
   sh_size : int;
   sh_states : Bytes.t;
-  sh_dirty : Cow.Bitmap.t;
+  sh_store : Cow.t;
 }
 
 type t = {
   mem : Vmem.t;
   mutable shadows : shadow list;
   mutable hit : shadow;  (* last shadow an access fell in *)
-  mutable sync_id : int;
-      (* 0, or the snapshot token every clean shadow page equals *)
   mutable scenario : string;
   mutable site : (unit -> string) option;
   mutable exempt_depth : int;
@@ -144,11 +142,14 @@ let pp_violation ppf v =
     (if v.v_scenario = "" then "" else " scenario=" ^ v.v_scenario)
     (if v.v_site = "" then "" else " at " ^ v.v_site)
 
+let shadow ~base ~size =
+  let states = Bytes.make size '\000' in
+  { sh_base = base; sh_size = size; sh_states = states;
+    sh_store = Cow.create [| states |] }
+
 (* The shadow wholly covering [addr, addr+len), or [no_shadow]. Never
    allocates: the last hit is cached and the miss path is a plain walk. *)
-let no_shadow =
-  { sh_base = 0; sh_size = 0; sh_states = Bytes.empty;
-    sh_dirty = Cow.Bitmap.create 0 }
+let no_shadow = shadow ~base:0 ~size:0
 
 let[@inline] covers sh addr len =
   addr >= sh.sh_base && addr + len <= sh.sh_base + sh.sh_size
@@ -190,13 +191,13 @@ let rewrite t ~addr ~len ~from code =
         let off = lo - sh.sh_base and n = hi - lo in
         if from < 0 then begin
           Bytes.fill sh.sh_states off n (Char.unsafe_chr code);
-          Cow.Bitmap.mark sh.sh_dirty off n
+          Cow.mark sh.sh_store off n
         end
         else
           for i = off to off + n - 1 do
             if Bytes.get_uint8 sh.sh_states i = from then begin
               Bytes.set_uint8 sh.sh_states i code;
-              Cow.Bitmap.mark sh.sh_dirty i 1
+              Cow.mark sh.sh_store i 1
             end
           done
       end;
@@ -305,7 +306,7 @@ let on_byte t sh off access addr taint =
     | None -> ());
     if resets st access then begin
       Bytes.set_uint8 sh.sh_states off 0;
-      Cow.Bitmap.mark sh.sh_dirty off 1
+      Cow.mark sh.sh_store off 1
     end
   end
 
@@ -364,13 +365,7 @@ let on_access t ~access ~addr ~len ~taint =
 let attach ?(scenario = "") mem =
   let shadows =
     List.map
-      (fun (s : Segment.t) ->
-        {
-          sh_base = s.Segment.base;
-          sh_size = s.Segment.size;
-          sh_states = Bytes.make s.Segment.size '\000';
-          sh_dirty = Cow.Bitmap.create s.Segment.size;
-        })
+      (fun (s : Segment.t) -> shadow ~base:s.Segment.base ~size:s.Segment.size)
       (Vmem.segments mem)
   in
   let t =
@@ -378,7 +373,6 @@ let attach ?(scenario = "") mem =
       mem;
       shadows;
       hit = no_shadow;
-      sync_id = 0;
       scenario;
       site = None;
       exempt_depth = 0;
@@ -413,53 +407,36 @@ let count_by_kind t =
 (* Snapshot / restore                                                   *)
 
 type snapshot = {
-  sn_id : int;  (* sync token, globally unique *)
-  sn_states : (int * Bytes.t) list;  (* keyed by segment base *)
+  sn_states : (int * int * Cow.frozen) list;  (* base, size, states *)
   sn_recs : violation list;
   sn_n_recs : int;
   sn_total : int;
 }
 
-(* Same copy-on-write protocol as [Vmem]: a snapshot or a restore leaves
-   shadow contents equal to the snapshot's frozen states, so the sync
-   token is set and the dirty bitmaps cleared; every poison/unpoison/
-   stale-reset above marks what it touches; restoring the snapshot the
-   shadows are synced to then blits only dirty pages. *)
-let sync_to t snap =
-  List.iter (fun sh -> Cow.Bitmap.clear sh.sh_dirty) t.shadows;
-  t.sync_id <- snap.sn_id
-
+(* Each shadow's store decides its own rewind (see [Cow]); a snapshot
+   shadow matches a live one by base and size. *)
 let snapshot t =
-  let snap =
-    {
-      sn_id = Cow.fresh_gen ();
-      sn_states =
-        List.map (fun sh -> (sh.sh_base, Bytes.copy sh.sh_states)) t.shadows;
-      sn_recs = t.recs;
-      sn_n_recs = t.n_recs;
-      sn_total = t.total;
-    }
-  in
-  sync_to t snap;
-  snap
+  {
+    sn_states =
+      List.map
+        (fun sh -> (sh.sh_base, sh.sh_size, Cow.freeze sh.sh_store))
+        t.shadows;
+    sn_recs = t.recs;
+    sn_n_recs = t.n_recs;
+    sn_total = t.total;
+  }
 
 let restore t snap =
-  let synced = t.sync_id = snap.sn_id && t.sync_id <> 0 in
   List.iter
     (fun sh ->
-      match List.assoc_opt sh.sh_base snap.sn_states with
-      | Some b when Bytes.length b = sh.sh_size ->
-        if synced then begin
-          if Cow.Bitmap.any sh.sh_dirty then begin
-            Cow.Bitmap.iter_runs sh.sh_dirty (fun off len ->
-                Bytes.blit b off sh.sh_states off len);
-            Cow.Bitmap.clear sh.sh_dirty
-          end
-        end
-        else Bytes.blit b 0 sh.sh_states 0 sh.sh_size
-      | _ -> ())
+      match
+        List.find_opt
+          (fun (base, size, _) -> base = sh.sh_base && size = sh.sh_size)
+          snap.sn_states
+      with
+      | Some (_, _, fz) -> Cow.restore sh.sh_store fz
+      | None -> ())
     t.shadows;
-  if not synced then sync_to t snap;
   t.recs <- snap.sn_recs;
   t.n_recs <- snap.sn_n_recs;
   t.total <- snap.sn_total

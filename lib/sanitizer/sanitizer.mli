@@ -143,10 +143,10 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Rewind shadow states, recorded violations and sequencing; scenario,
     site thunk, seal and exempt flags are runtime configuration and are
-    untouched. Restores are copy-on-write: rewinding to the snapshot the
-    shadows are currently synced to blits only dirty pages; any other
-    case takes the full-copy path. Results are bit-identical either
-    way. *)
+    untouched. Each shadow is a one-layer {!Pna_vmem.Cow} store, so it
+    rewinds by the same rule as the memory it shadows: a shadow synced
+    to the snapshot's frozen states blits only its dirty pages, any
+    other copies them all. Results are bit-identical either way. *)
 
 (** {1 Printing / names} *)
 

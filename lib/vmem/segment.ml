@@ -4,7 +4,9 @@
     for taint: a byte is tainted when its value was derived from attacker
     input. Taint travels with every copy performed through {!Vmem}, which is
     what lets the attack drivers prove (rather than eyeball) that a saved
-    return address or a vtable pointer has become attacker-controlled. *)
+    return address or a vtable pointer has become attacker-controlled.
+    The two arrays are the layers of one {!Cow} store, so they rewind
+    together. *)
 
 type kind = Text | Data | Bss | Heap | Stack | Mmap
 
@@ -34,21 +36,14 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Cow.Bitmap.t;  (* pages touched since the last snapshot sync *)
+  store : Cow.t;  (* [bytes] and [taint], in that layer order *)
 }
 
 let create ~kind ~base ~size ~perm =
   if size <= 0 then invalid_arg "Segment.create: size must be positive";
   if base < 0 then invalid_arg "Segment.create: negative base";
-  {
-    kind;
-    base;
-    size;
-    bytes = Bytes.make size '\000';
-    taint = Bytes.make size '\000';
-    perm;
-    dirty = Cow.Bitmap.create size;
-  }
+  let bytes = Bytes.make size '\000' and taint = Bytes.make size '\000' in
+  { kind; base; size; bytes; taint; perm; store = Cow.create [| bytes; taint |] }
 
 let limit t = t.base + t.size
 let contains t addr = addr >= t.base && addr < limit t
@@ -61,19 +56,14 @@ let get_byte t addr = Char.code (Bytes.get t.bytes (off t addr))
 let set_byte t addr v =
   let o = off t addr in
   Bytes.set t.bytes o (Char.chr (v land 0xff));
-  Cow.Bitmap.mark t.dirty o 1
+  Cow.mark t.store o 1
 
 let get_taint t addr = Bytes.get t.taint (off t addr) <> '\000'
 
 let set_taint t addr tainted =
   let o = off t addr in
   Bytes.set t.taint o (if tainted then '\001' else '\000');
-  Cow.Bitmap.mark t.dirty o 1
-
-let clear t =
-  Bytes.fill t.bytes 0 t.size '\000';
-  Bytes.fill t.taint 0 t.size '\000';
-  Cow.Bitmap.mark_all t.dirty
+  Cow.mark t.store o 1
 
 let pp ppf t =
   Fmt.pf ppf "%-5s [0x%08x, 0x%08x) %a" (kind_name t.kind) t.base (limit t)

@@ -18,11 +18,10 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Cow.Bitmap.t;
-      (** the pages touched (contents or taint) since the last snapshot
-          sync. A fresh segment starts fully dirty: it has not been
-          synced against any snapshot. Writers mark; {!Vmem}'s snapshot
-          and restore clear at sync points. *)
+  store : Cow.t;
+      (** [bytes] and [taint] as the two layers of one copy-on-write
+          store. Every writer calls {!Cow.mark} on the bytes it touched;
+          {!Vmem}'s snapshot and restore freeze and rewind the store. *)
 }
 
 val create : kind:kind -> base:int -> size:int -> perm:Perm.t -> t
@@ -41,8 +40,5 @@ val set_byte : t -> int -> int -> unit
 
 val get_taint : t -> int -> bool
 val set_taint : t -> int -> bool -> unit
-
-val clear : t -> unit
-(** Zero both contents and taint. *)
 
 val pp : Format.formatter -> t -> unit

@@ -81,22 +81,19 @@ module Ring = Pna_ring.Ring
    long traced session cannot grow memory without bound. *)
 let trace_records = 65_536
 
-(* One frozen segment: identity (kind/base/size) plus deep copies of the
-   mutable payload. The copies are private to the snapshot — [restore]
-   only reads them and [snapshot] never aliases live arrays into them —
-   so a snapshot stays valid however the live space is mutated, and its
-   backing may be shared read-only between domains. *)
+(* One frozen segment: identity (kind/base/size), the permission word
+   and the frozen copy of its store. The copy is never written, so a
+   snapshot stays valid however the live space is mutated, and it may be
+   shared read-only between domains. *)
 type frozen_segment = {
   fz_kind : Segment.kind;
   fz_base : int;
   fz_size : int;
   fz_perm : Perm.t;
-  fz_bytes : Bytes.t;
-  fz_taint : Bytes.t;
+  fz_store : Cow.frozen;
 }
 
 type snapshot = {
-  sn_id : int;  (* globally unique sync token, from [Cow.fresh_gen] *)
   sn_segments : frozen_segment list;
   sn_trace : write_record Ring.t option;  (* a private copy; never pushed *)
 }
@@ -107,12 +104,6 @@ type t = {
   mutable trace : write_record Ring.t option;  (* [None]: not tracing *)
   mutable chaos : chaos_hook option;
   mutable observer : access_hook option;
-  mutable sync_id : int;
-  (* 0, or the [sn_id] of the snapshot whose contents every *clean* page
-     currently equals — the licence for dirty-only restores. Invalidated
-     by [add_segment] (shape change). *)
-  mutable last_snap : snapshot option;
-      (* the snapshot [sync_id] refers to, for clean-segment sharing *)
   stats : stats;
 }
 
@@ -123,8 +114,6 @@ let create () =
     trace = None;
     chaos = None;
     observer = None;
-    sync_id = 0;
-    last_snap = None;
     stats = fresh_stats ();
   }
 
@@ -142,9 +131,6 @@ let add_segment t seg =
   if List.exists overlaps t.segments then
     invalid_arg "Vmem.add_segment: overlapping segment";
   t.segments <- seg :: t.segments;
-  (* shape changed: existing snapshots no longer describe every segment *)
-  t.sync_id <- 0;
-  t.last_snap <- None;
   seg
 
 let map t ~kind ~base ~size ~perm =
@@ -339,7 +325,7 @@ let write_u8 ?(tag = "") ?(taint = false) t addr v =
     let off = addr - seg.Segment.base in
     Bytes.unsafe_set seg.Segment.bytes off (Char.unsafe_chr (v land 0xff));
     Bytes.unsafe_set seg.Segment.taint off (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off 1
+    Cow.mark seg.Segment.store off 1
   | None -> write_u8_byte ~tag ~taint t addr v
 
 let read_u16 t addr =
@@ -356,7 +342,7 @@ let write_u16 ?(tag = "") ?(taint = false) t addr v =
     let off = addr - seg.Segment.base in
     Bytes.set_uint16_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 2 (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off 2
+    Cow.mark seg.Segment.store off 2
   | None -> write_uN ~tag ~taint t addr 2 v
 
 let read_u32 t addr =
@@ -374,7 +360,7 @@ let write_u32 ?(tag = "") ?(taint = false) t addr v =
     let off = addr - seg.Segment.base in
     Bytes.set_int32_le seg.Segment.bytes off (Int32.of_int v);
     Bytes.fill seg.Segment.taint off 4 (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off 4
+    Cow.mark seg.Segment.store off 4
   | None -> write_uN ~tag ~taint t addr 4 (v land 0xffffffff)
 
 let read_u64 t addr =
@@ -394,7 +380,7 @@ let write_u64 ?(tag = "") ?(taint = false) t addr v =
     let off = addr - seg.Segment.base in
     Bytes.set_int64_le seg.Segment.bytes off v;
     Bytes.fill seg.Segment.taint off 8 (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off 8
+    Cow.mark seg.Segment.store off 8
   | None ->
     write_uN ~tag ~taint t addr 4 Int64.(to_int (logand v 0xffffffffL));
     write_uN ~tag ~taint t (addr + 4) 4
@@ -426,7 +412,7 @@ let poke_bytes t addr s =
     | Some seg when addr + len <= Segment.limit seg ->
       let off = addr - seg.Segment.base in
       Bytes.blit_string s 0 seg.Segment.bytes off len;
-      Cow.Bitmap.mark seg.Segment.dirty off len
+      Cow.mark seg.Segment.store off len
     | _ -> String.iteri (fun i c -> poke_u8 t (addr + i) (Char.code c)) s
 
 let to_signed32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
@@ -493,7 +479,7 @@ let blit ?(tag = "blit") t ~src ~dst ~len =
        one segment, matching the buffered byte path. *)
     Bytes.blit sseg.Segment.bytes soff dseg.Segment.bytes doff len;
     Bytes.blit staint soff dseg.Segment.taint doff len;
-    Cow.Bitmap.mark dseg.Segment.dirty doff len
+    Cow.mark dseg.Segment.store doff len
   | None -> blit_bytepath ~tag t ~src ~dst ~len
 
 let fill ?(tag = "fill") ?(taint = false) t ~dst ~len v =
@@ -503,7 +489,7 @@ let fill ?(tag = "fill") ?(taint = false) t ~dst ~len v =
     let off = dst - seg.Segment.base in
     Bytes.fill seg.Segment.bytes off len (Char.chr (v land 0xff));
     Bytes.fill seg.Segment.taint off len (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off len
+    Cow.mark seg.Segment.store off len
   | _ ->
     for i = 0 to len - 1 do
       write_u8 ~tag ~taint t (dst + i) v
@@ -517,7 +503,7 @@ let write_bytes ?(tag = "blit") ?(taint = false) t addr s =
     let off = addr - seg.Segment.base in
     Bytes.blit_string s 0 seg.Segment.bytes off len;
     Bytes.fill seg.Segment.taint off len (taint_char taint);
-    Cow.Bitmap.mark seg.Segment.dirty off len
+    Cow.mark seg.Segment.store off len
   | _ -> String.iteri (fun i c -> write_u8 ~tag ~taint t (addr + i) (Char.code c)) s
 
 let write_string ?(tag = "str") ?taint t addr s = write_bytes ~tag ?taint t addr s
@@ -688,7 +674,7 @@ let set_taint t addr len tainted =
   | Some seg when len > 0 ->
     let off = addr - seg.Segment.base in
     Bytes.fill seg.Segment.taint off len (taint_char tainted);
-    Cow.Bitmap.mark seg.Segment.dirty off len
+    Cow.mark seg.Segment.store off len
   | _ ->
     for i = 0 to len - 1 do
       let seg = checked t (addr + i) Fault.Read in
@@ -698,24 +684,24 @@ let set_taint t addr len tainted =
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore                                                   *)
 
-(* [t.sync_id = snap.sn_id] licences dirty-only rewinds. The invariant it
-   certifies: every page not marked dirty holds exactly the bytes (and
-   taint) the snapshot froze. It is established whenever live contents
-   and a snapshot's contents are known equal — right after [snapshot]
-   (the copy just happened) and right after [restore] (the blit just
-   happened) — and every write path above marks the pages it touches, so
-   the invariant is maintained until the shape changes ([add_segment]
-   clears the token) or a different snapshot is restored (id mismatch
-   forces the full path, which re-syncs). *)
+(* Each segment's store decides its own rewind (see {!Cow}): a store
+   synced to the frozen copy blits its dirty pages, any other the whole
+   copy. Only the segment list, permissions and trace are decided here. *)
 
-let fz_of_segment (s : Segment.t) =
+let snapshot t =
   {
-    fz_kind = s.Segment.kind;
-    fz_base = s.Segment.base;
-    fz_size = s.Segment.size;
-    fz_perm = s.Segment.perm;
-    fz_bytes = Bytes.copy s.Segment.bytes;
-    fz_taint = Bytes.copy s.Segment.taint;
+    sn_segments =
+      List.map
+        (fun (s : Segment.t) ->
+          {
+            fz_kind = s.Segment.kind;
+            fz_base = s.Segment.base;
+            fz_size = s.Segment.size;
+            fz_perm = s.Segment.perm;
+            fz_store = Cow.freeze s.Segment.store;
+          })
+        t.segments;
+    sn_trace = Option.map Ring.copy t.trace;
   }
 
 let[@inline] same_identity (s : Segment.t) fz =
@@ -723,108 +709,38 @@ let[@inline] same_identity (s : Segment.t) fz =
   && s.Segment.size = fz.fz_size
   && s.Segment.kind = fz.fz_kind
 
-(* Mark every segment clean and record [snap] as the sync point. *)
-let sync_to t snap =
-  List.iter (fun (s : Segment.t) -> Cow.Bitmap.clear s.Segment.dirty)
-    t.segments;
-  t.sync_id <- snap.sn_id;
-  t.last_snap <- Some snap
-
-let snapshot t =
-  let shared =
-    (* Clean segments are byte-identical to the sync snapshot's frozen
-       copies, and frozen arrays are immutable — share them instead of
-       recopying. Permissions are not dirty-tracked, so the current word
-       is recorded explicitly. *)
-    match t.last_snap with
-    | Some prev when t.sync_id <> 0 && prev.sn_id = t.sync_id ->
-      fun (s : Segment.t) ->
-        if Cow.Bitmap.any s.Segment.dirty then None
-        else
-          (match List.find_opt (same_identity s) prev.sn_segments with
-          | Some fz -> Some { fz with fz_perm = s.Segment.perm }
-          | None -> None)
-    | _ -> fun _ -> None
-  in
-  let snap =
-    {
-      sn_id = Cow.fresh_gen ();
-      sn_segments =
-        List.map
-          (fun (s : Segment.t) ->
-            match shared s with
-            | Some fz -> fz
-            | None -> fz_of_segment s)
-          t.segments;
-      sn_trace = Option.map Ring.copy t.trace;
-    }
-  in
-  sync_to t snap;
-  snap
+let rec same_layout segs fzs =
+  match (segs, fzs) with
+  | [], [] -> true
+  | s :: ss, fz :: fs -> same_identity s fz && same_layout ss fs
+  | _ -> false
 
 (* Restore contents, taint, permissions and trace state to the snapshot.
    Segments mapped after the snapshot are unmapped again; segments present
    at snapshot time are restored *in place*, so references held elsewhere
    (the heap allocator, attack checks) stay valid. The chaos hook is
-   deliberately untouched: it is runtime configuration, not memory state.
-
-   When the sync token matches the snapshot, only dirty page runs are
-   blitted; the full-copy path below is the semantic reference and the
-   fallback for everything else (foreign snapshots, shape changes, a
-   fresh address space with no sync yet). *)
-
-let restore_full t snap =
-  let live = t.segments in
-  let restored =
-    List.map
-      (fun fz ->
-        let seg =
+   deliberately untouched: it is runtime configuration, not memory state. *)
+let restore t snap =
+  if not (same_layout t.segments snap.sn_segments) then begin
+    let live = t.segments in
+    t.segments <-
+      List.map
+        (fun fz ->
           match List.find_opt (fun s -> same_identity s fz) live with
           | Some s -> s
           | None ->
             Segment.create ~kind:fz.fz_kind ~base:fz.fz_base ~size:fz.fz_size
-              ~perm:fz.fz_perm
-        in
-        Bytes.blit fz.fz_bytes 0 seg.Segment.bytes 0 fz.fz_size;
-        Bytes.blit fz.fz_taint 0 seg.Segment.taint 0 fz.fz_size;
-        seg.Segment.perm <- fz.fz_perm;
-        seg)
-      snap.sn_segments
-  in
-  t.segments <- restored;
-  (* the cached segment may have been mapped after the snapshot *)
-  t.hot <- None;
-  t.trace <- Option.map Ring.copy snap.sn_trace;
-  sync_to t snap
-
-(* Defensive: the sync token should already guarantee alignment (only
-   [restore]/[snapshot] set it and [add_segment] clears it), but a
-   mismatch must degrade to the full path, never corrupt. *)
-let rec aligned segs fzs =
-  match (segs, fzs) with
-  | [], [] -> true
-  | (s : Segment.t) :: ss, fz :: fs -> same_identity s fz && aligned ss fs
-  | _ -> false
-
-let restore t snap =
-  if t.sync_id = snap.sn_id && t.sync_id <> 0
-     && aligned t.segments snap.sn_segments
-  then begin
-    List.iter2
-      (fun (s : Segment.t) fz ->
-        s.Segment.perm <- fz.fz_perm;
-        if Cow.Bitmap.any s.Segment.dirty then begin
-          Cow.Bitmap.iter_runs s.Segment.dirty (fun off len ->
-              Bytes.blit fz.fz_bytes off s.Segment.bytes off len;
-              Bytes.blit fz.fz_taint off s.Segment.taint off len);
-          Cow.Bitmap.clear s.Segment.dirty
-        end)
-      t.segments snap.sn_segments;
-    (* the segment list is unchanged, so [t.hot] stays valid *)
-    t.trace <- Option.map Ring.copy snap.sn_trace;
-    t.last_snap <- Some snap
-  end
-  else restore_full t snap
+              ~perm:fz.fz_perm)
+        snap.sn_segments;
+    (* the cached segment may have been mapped after the snapshot *)
+    t.hot <- None
+  end;
+  List.iter2
+    (fun (s : Segment.t) fz ->
+      s.Segment.perm <- fz.fz_perm;
+      Cow.restore s.Segment.store fz.fz_store)
+    t.segments snap.sn_segments;
+  t.trace <- Option.map Ring.copy snap.sn_trace
 
 (* ------------------------------------------------------------------ *)
 (* Access accounting queries                                            *)

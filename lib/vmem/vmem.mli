@@ -1,7 +1,8 @@
 (** The simulated address space of a 32-bit little-endian process.
 
-    All checked accessors verify mapping and permissions per byte and raise
-    {!Fault.Fault} exactly where a real MMU would trap. 32-bit word values
+    Every checked access is verified against the mapping and the
+    permissions of each byte it covers, and raises {!Fault.Fault} at the
+    byte where a real MMU would trap. 32-bit word values
     are OCaml [int]s in [0, 0xffff_ffff]; {!to_signed32} gives the signed
     view. Every write carries a taint flag; taint marks bytes whose value
     derives from attacker input and travels with copies.
@@ -27,7 +28,6 @@ val map :
   t -> kind:Segment.kind -> base:int -> size:int -> perm:Perm.t -> Segment.t
 (** Map a fresh segment. @raise Invalid_argument on overlap. *)
 
-val add_segment : t -> Segment.t -> Segment.t
 val segments : t -> Segment.t list
 (** Sorted by base address. *)
 
@@ -136,16 +136,18 @@ val set_observer : t -> access_hook option -> unit
 
     The substitution that powers the scenario service: freeze a prepared
     address space once, then rewind to it between requests instead of
-    rebuilding the image. A snapshot owns deep copies of every segment's
-    contents and taint, the permission words and the write-trace state, so
-    it remains valid however the live space is mutated afterwards; frozen
-    backing is immutable, so snapshots may be shared across domains.
+    rebuilding the image. A snapshot holds frozen copies of every
+    segment's contents and taint (a segment unwritten since the last
+    snapshot or restore reuses the copy it is synced to), the permission
+    words and the write-trace state, so it remains valid however the live
+    space is mutated afterwards; frozen copies are never written, so
+    snapshots may be shared across domains.
 
-    Rewinds are copy-on-write: every write path marks the 256-byte pages
-    it touches, and restoring the snapshot the space is currently synced
-    to blits only dirty pages. Any other case — a different or foreign
-    snapshot, a shape change, a fresh space never synced — takes the
-    full-copy reference path and re-establishes the sync. Restored state is
+    Rewinds are copy-on-write, decided per segment by its {!Cow} store:
+    every write path marks the 256-byte pages it touches, and a segment
+    whose store is synced to the snapshot's frozen copy blits only its
+    dirty pages; any other segment (a fresh space, a different snapshot,
+    one mapped anew by the restore) copies every byte. Restored state is
     bit-identical either way (the E20 gate proves it). *)
 
 type snapshot
