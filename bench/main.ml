@@ -33,7 +33,7 @@ let vmem_for_micro =
   let _ = Vmem.map m ~kind:Segment.Data ~base:0x1000 ~size:0x1000 ~perm:Perm.rw in
   m
 
-let micro_group =
+let micro_group () =
   [
     Test.make ~name:"vmem/write_u32" (stage (fun () ->
         Pna_vmem.Vmem.write_u32 vmem_for_micro 0x1100 0xdeadbeef));
@@ -101,7 +101,7 @@ let blit_batch m () =
     Pna_vmem.Vmem.blit m ~src:0x1000 ~dst:0x1800 ~len:64
   done
 
-let vmem_group =
+let vmem_group () =
   let open Pna_vmem in
   let fast = mk_bench_vmem () in
   let byte = mk_bytepath_vmem () in
@@ -139,9 +139,9 @@ let bench_attack (a : Catalog.t) =
   Test.make ~name:("e1/" ^ a.Catalog.id) (stage (fun () ->
       ignore (Driver.run ~config:Config.none a)))
 
-let e1_group = List.map bench_attack fast_attacks
+let e1_group () = List.map bench_attack fast_attacks
 
-let e2_e3_group =
+let e2_e3_group () =
   [
     Test.make ~name:"e2/naive_vs_stackguard" (stage (fun () ->
         ignore (Driver.run ~config:Config.stackguard Pna_attacks.L13_stack_ret.attack)));
@@ -149,7 +149,7 @@ let e2_e3_group =
         ignore (Driver.run ~config:Config.stackguard Pna_attacks.L13_stack_ret.bypass)));
   ]
 
-let e4_group =
+let e4_group () =
   [
     Test.make ~name:"e4/leak_array" (stage (fun () ->
         ignore (Driver.run Pna_attacks.L21_leak_array.attack)));
@@ -158,7 +158,7 @@ let e4_group =
   ]
 
 (* E5: the DoS curve — time per request as the forced bound grows *)
-let e5_group =
+let e5_group () =
   List.map
     (fun n ->
       Test.make ~name:(Fmt.str "e5/dos_n_%d" n) (stage (fun () ->
@@ -167,7 +167,7 @@ let e5_group =
                ~input_ints:[ n ] Pna_attacks.L15_stack_var.program_))))
     [ 5; 100; 10_000 ]
 
-let e6_group =
+let e6_group () =
   List.map
     (fun iters ->
       Test.make ~name:(Fmt.str "e6/memleak_%d_iters" iters) (stage (fun () ->
@@ -177,7 +177,7 @@ let e6_group =
           ignore (Vm.run m (Vm.load prog) ~entry:"main"))))
     [ 50; 200 ]
 
-let e7_group =
+let e7_group () =
   [
     Test.make ~name:"e7/placement_checker_all" (stage (fun () ->
         List.iter
@@ -192,7 +192,7 @@ let e7_group =
   ]
 
 (* E8: the benign workload under each defense — the overhead table *)
-let e8_group =
+let e8_group () =
   List.map
     (fun config ->
       Test.make
@@ -201,7 +201,7 @@ let e8_group =
     (Config.all @ [ Config.pool_discipline ])
 
 (* syntax toolchain: print and parse the whole catalogue *)
-let syntax_group =
+let syntax_group () =
   [
     Test.make ~name:"syntax/print_catalogue" (stage (fun () ->
         List.iter
@@ -220,7 +220,7 @@ let syntax_group =
   ]
 
 (* interprocedural vs intraprocedural analysis cost *)
-let analysis_mode_group =
+let analysis_mode_group () =
   [
     Test.make ~name:"e7/intraproc_all" (stage (fun () ->
         List.iter
@@ -237,7 +237,7 @@ let analysis_mode_group =
   ]
 
 (* wire format encode/decode round *)
-let serial_group =
+let serial_group () =
   [
     Test.make ~name:"serial/encode_grad" (stage (fun () ->
         ignore
@@ -253,7 +253,7 @@ let serial_group =
 (* E9: supervision overhead — the same benign workload raw, supervised
    under an empty plan (pure harness cost: hooks armed, nothing fires)
    and supervised under a transiently faulty plan (one retry) *)
-let chaos_group =
+let chaos_group () =
   let open Pna_chaos in
   [
     Test.make ~name:"e9/pool_server_64_raw" (stage (fun () ->
@@ -268,7 +268,7 @@ let chaos_group =
   ]
 
 (* E11: hardening the whole catalogue *)
-let e11_group =
+let e11_group () =
   [
     Test.make ~name:"e11/harden_catalogue" (stage (fun () ->
         List.iter
@@ -279,7 +279,7 @@ let e11_group =
 
 (* ablation: image load vs full attack run — separates setup cost from
    interpretation cost *)
-let ablation_group =
+let ablation_group () =
   [
     Test.make ~name:"ablation/l13_load_only" (stage (fun () ->
         ignore (Interp.load ~config:Config.none (Pna_attacks.L13_stack_ret.mk_program ~checked:false))));
@@ -314,7 +314,20 @@ let bench_service_batch ~size stream n =
          ignore (Service.run_batch svc stream);
          Service.shutdown svc))
 
-let service_group =
+(* A row whose fixture is built when the row starts and released when it
+   ends, so no fixture outlives its row: a service's worker domains are
+   shut down before the next row runs. *)
+let with_fixture ~name ?(free = ignore) allocate fn =
+  Test.make_with_resource ~name Test.uniq ~allocate ~free (stage fn)
+
+let warm_service ?prepared_cap js =
+  let svc = Service.create ~jobs:1 ?prepared_cap () in
+  Array.iter (fun j -> ignore (Service.exec svc j)) js;
+  (svc, js, ref 0)
+
+let shutdown_service (svc, _, _) = Service.shutdown svc
+
+let service_group () =
   (let s32 = service_stream in
    let s512 = service_stream_of 512 in
    let s4096 = service_stream_of 4096 in
@@ -331,40 +344,36 @@ let service_group =
   @ [
       Test.make ~name:"service/fresh_load_run" (stage (fun () ->
           ignore (Driver.run Pna.Experiments.benign_pool)));
-      Test.make ~name:"service/snapshot_rewind" (stage (
-          let p = Driver.prepare Pna.Experiments.benign_pool in
-          fun () -> ignore (Driver.reset p)));
-      Test.make ~name:"service/run_prepared" (stage (
-          let p = Driver.prepare Pna.Experiments.benign_pool in
-          fun () -> ignore (Driver.run_prepared p)));
-      Test.make ~name:"service/thaw" (stage (
-          let im = Driver.freeze (Driver.prepare Pna.Experiments.benign_pool) in
-          fun () -> ignore (Driver.thaw im)));
-      Test.make ~name:"service/thaw_sanitized" (stage (
-          let im =
-            Driver.freeze (Driver.prepare ~sanitize:true Pna.Experiments.benign_pool)
-          in
-          fun () -> ignore (Driver.thaw im)));
-      Test.make ~name:"service/memo_hit" (stage (
-          let svc = Service.create ~jobs:1 () in
-          let j = Service.job ~config:Config.none Pna.Experiments.benign_pool in
-          let (_ : Service.reply) = Service.exec svc j in
-          fun () -> ignore (Service.exec svc j)));
+      with_fixture ~name:"service/snapshot_rewind"
+        (fun () -> Driver.prepare Pna.Experiments.benign_pool)
+        (fun p -> ignore (Driver.reset p));
+      with_fixture ~name:"service/run_prepared"
+        (fun () -> Driver.prepare Pna.Experiments.benign_pool)
+        (fun p -> ignore (Driver.run_prepared p));
+      with_fixture ~name:"service/thaw"
+        (fun () -> Driver.freeze (Driver.prepare Pna.Experiments.benign_pool))
+        (fun im -> ignore (Driver.thaw im));
+      with_fixture ~name:"service/thaw_sanitized"
+        (fun () ->
+          Driver.freeze (Driver.prepare ~sanitize:true Pna.Experiments.benign_pool))
+        (fun im -> ignore (Driver.thaw im));
+      with_fixture ~name:"service/memo_hit" ~free:shutdown_service
+        (fun () ->
+          warm_service
+            [| Service.job ~config:Config.none Pna.Experiments.benign_pool |])
+        (fun (svc, js, _) -> ignore (Service.exec svc js.(0)));
       (* a memo hit on a key that has left the worker's one-entry
          prepared cache: alternate two warm keys, so every hit finds the
          other key's machine local *)
-      Test.make ~name:"service/memo_hit_evicted" (stage (
-          let svc = Service.create ~jobs:1 ~prepared_cap:1 () in
-          let js =
-            Array.map
-              (fun a -> Service.job ~config:Config.none a)
-              [| Pna.Experiments.benign_pool; Pna_attacks.L13_stack_ret.attack |]
-          in
-          Array.iter (fun j -> ignore (Service.exec svc j)) js;
-          let i = ref 0 in
-          fun () ->
-            incr i;
-            ignore (Service.exec svc js.(!i land 1))));
+      with_fixture ~name:"service/memo_hit_evicted" ~free:shutdown_service
+        (fun () ->
+          warm_service ~prepared_cap:1
+            (Array.map
+               (fun a -> Service.job ~config:Config.none a)
+               [| Pna.Experiments.benign_pool; Pna_attacks.L13_stack_ret.attack |]))
+        (fun (svc, js, i) ->
+          incr i;
+          ignore (Service.exec svc js.(!i land 1)));
     ]
 
 (* sanitizer: what the PNASan oracle costs — the prepared driver path
@@ -373,7 +382,7 @@ let service_group =
    attach (shadow build over a loaded image), the oracle attach a
    sanitized prepare or thaw pays (shadow build plus heap and frame
    poisoning), and the quarantining allocator vs the plain free path. *)
-let sanitizer_group =
+let sanitizer_group () =
   let module San = Pna_sanitizer.Sanitizer in
   [
     Test.make ~name:"sanitizer/run_prepared_off" (stage (
@@ -414,7 +423,7 @@ let sanitizer_group =
    span, registry increments/observations, and the exporters' JSON
    encoding. Spans land in this domain's ring buffer; the ring
    overwrites, so steady-state cost is what is measured. *)
-let telemetry_group =
+let telemetry_group () =
   let module Tel = Pna_telemetry.Telemetry in
   let module Trace = Pna_telemetry.Trace in
   let module Metrics = Pna_telemetry.Metrics in
@@ -461,7 +470,7 @@ let telemetry_group =
    (net/loadgen_p50 and friends) are not Bechamel estimates: they come
    from a real server + load generator on loopback, appended after the
    group runs. *)
-let net_group =
+let net_group () =
   let module Frame = Pna_net.Frame in
   let req =
     Frame.Request
@@ -554,7 +563,7 @@ let net_loadgen_rows () =
    the figure that matters operationally: amortized wall-clock per
    scenario for a real campaign, which bounds how many scenarios a CI
    fuzz-smoke budget buys. *)
-let gen_group =
+let gen_group () =
   let module Genome = Pna_gen.Genome in
   let module GBuild = Pna_gen.Build in
   let module GOracle = Pna_gen.Oracle in
@@ -646,7 +655,7 @@ let arith_scenario ~iters =
     ~check:(fun _ _ -> Catalog.success "loop ran")
     ()
 
-let interp_group =
+let interp_group () =
   let arith = arith_scenario ~iters:30_000 in
   let copy = Pna_attacks.L06_copy_loop.attack in
   let arith_b = Driver.prepare ~config:Config.none arith in
@@ -667,6 +676,8 @@ let extra_rows = [ ("net", net_loadgen_rows); ("gen", gen_campaign_rows) ]
 
 (* ------------------------------------------------------------------ *)
 
+(* Each group is a thunk, so a bench process builds the fixtures of the
+   groups it runs and no others. *)
 let groups =
   [
     ("micro", micro_group);
@@ -759,7 +770,8 @@ let () =
   let chosen = selected_groups () in
   let total = ref 0 in
   List.iter
-    (fun (gname, tests) ->
+    (fun (gname, group) ->
+      let tests = group () in
       Fmt.pr "@.== %s ==@.%-40s %16s@.%s@." gname "benchmark" "time/run"
         (String.make 58 '-');
       let rows =

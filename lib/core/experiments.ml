@@ -415,18 +415,6 @@ let e9 ?(seeds = 10) () =
         configs)
     programs
 
-let status_key = function
-  | Outcome.Exited _ -> "exited"
-  | Outcome.Recovered _ -> "recovered"
-  | Outcome.Crashed _ -> "crashed"
-  | Outcome.Stack_smashing_detected -> "canary"
-  | Outcome.Defense_blocked _ -> "blocked"
-  | Outcome.Timeout _ -> "timeout"
-  | Outcome.Out_of_memory -> "oom"
-  | Outcome.Internal_error _ -> "internal-error"
-  | Outcome.Arc_injection _ -> "arc-inj"
-  | Outcome.Code_injection _ -> "code-inj"
-
 let pp_e9 ppf rows =
   Fmt.pf ppf "@[<v>E9 — chaos: graceful degradation under injected faults@,%s@,"
     (String.make 100 '-');
@@ -445,7 +433,7 @@ let pp_e9 ppf rows =
       let histo =
         List.fold_left
           (fun acc r ->
-            let k = status_key r.ch_status in
+            let k = Outcome.status_key r.ch_status in
             let n = try List.assoc k acc with Not_found -> 0 in
             (k, n + 1) :: List.remove_assoc k acc)
           [] (List.rev rs)

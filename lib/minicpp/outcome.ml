@@ -60,6 +60,42 @@ let pp_status ppf = function
     Fmt.pf ppf "recovered(%d) after %d attempts (verdict from attempt %d)"
       r.exit_code r.attempts r.final_attempt
 
+(* The stable key of a status: its constructor, without payload. *)
+let status_key = function
+  | Exited _ -> "exited"
+  | Recovered _ -> "recovered"
+  | Crashed _ -> "crashed"
+  | Stack_smashing_detected -> "canary"
+  | Defense_blocked _ -> "blocked"
+  | Timeout _ -> "timeout"
+  | Out_of_memory -> "oom"
+  | Internal_error _ -> "internal-error"
+  | Arc_injection _ -> "arc-inj"
+  | Code_injection _ -> "code-inj"
+
+(* Each key beside the head [pp_status] prints for it, so a rendered
+   status maps back to its key. *)
+let status_heads =
+  [
+    ("exited", "exited(");
+    ("recovered", "recovered(");
+    ("crashed", "CRASH: ");
+    ("canary", "*** stack smashing detected ***");
+    ("blocked", "BLOCKED by ");
+    ("timeout", "TIMEOUT after ");
+    ("oom", "OUT OF MEMORY");
+    ("internal-error", "INTERNAL ERROR: ");
+    ("arc-inj", "ARC-INJECTION via ");
+    ("code-inj", "CODE-INJECTION via ");
+  ]
+
+let status_keys = List.map fst status_heads
+
+let key_of_rendered s =
+  List.find_map
+    (fun (k, head) -> if String.starts_with ~prefix:head s then Some k else None)
+    status_heads
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a (%d steps)%a@]" pp_status t.status t.steps
     (fun ppf -> function

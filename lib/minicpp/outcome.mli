@@ -32,6 +32,19 @@ type t = {
 }
 
 val pp_status : Format.formatter -> status -> unit
+
+val status_key : status -> string
+(** The status's stable key — its constructor without payload:
+    ["exited"], ["canary"], ["arc-inj"] and so on. *)
+
+val status_keys : string list
+(** Every {!status_key}, one per constructor. *)
+
+val key_of_rendered : string -> string option
+(** The {!status_key} of a status rendered by {!pp_status}, read from
+    the head it prints: [key_of_rendered (Fmt.str "%a" pp_status s) =
+    Some (status_key s)]. [None] for a string no head matches. *)
+
 val pp : Format.formatter -> t -> unit
 val hijacked : t -> bool
 val blocked : t -> bool

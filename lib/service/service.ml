@@ -14,7 +14,7 @@
       request digest, sanitize)] serves repeated requests without
       executing at all — and without building a machine: the request
       digest covers the attacker input and the effective deadline, and
-      the input's digest is published beside each frozen image.
+      the input's digest is stored beside each frozen image.
 
     Replies are derived purely from per-job state, so a batch at any
     worker count is verdict-identical to the sequential driver. *)
@@ -138,19 +138,6 @@ type stats = {
   st_execute_us : int * float;  (** (observations, total µs) executing *)
 }
 
-let status_key st =
-  match (st : Outcome.status) with
-  | Outcome.Exited _ -> "exited"
-  | Outcome.Recovered _ -> "recovered"
-  | Outcome.Crashed _ -> "crashed"
-  | Outcome.Stack_smashing_detected -> "canary"
-  | Outcome.Defense_blocked _ -> "blocked"
-  | Outcome.Timeout _ -> "timeout"
-  | Outcome.Out_of_memory -> "oom"
-  | Outcome.Internal_error _ -> "internal-error"
-  | Outcome.Arc_injection _ -> "arc-inj"
-  | Outcome.Code_injection _ -> "code-inj"
-
 (* compact single-line form for tabular reports *)
 let pp_stats_line ppf s =
   Fmt.pf ppf "memo %d/%d  images %dR/%dL/%dC" s.st_memo_hits s.st_memo_misses
@@ -199,71 +186,18 @@ let stats_json s : Jsonx.t =
 (* ------------------------------------------------------------------ *)
 (* The service                                                         *)
 
-(* A local histogram: the same log2 bucketing as the registry's, as
-   plain mutable fields. One per shard and timing leg, written only by
-   the owning worker domain; merged into the registry on export. *)
-type lhist = {
-  mutable lh_count : int;
-  mutable lh_sum : float;  (* µs *)
-  lh_buckets : int array;
-}
-
-let mk_lhist () = { lh_count = 0; lh_sum = 0.; lh_buckets = Array.make 64 0 }
-
-let lh_observe lh v =
-  lh.lh_count <- lh.lh_count + 1;
-  lh.lh_sum <- lh.lh_sum +. v;
-  let i = Metrics.bucket_of v in
-  lh.lh_buckets.(i) <- lh.lh_buckets.(i) + 1
-
-(* Per-worker metrics shard. Between submit and reply a worker touches
-   only this (and its memo shard): plain mutable ints bumped without
-   synchronization, so job accounting never rendezvouses domains on a
-   shared cache line or registry mutex. [sh_mutex] guards only the
-   outcome table (its resizes must not race the export reader); counter
-   fields are single-word and read racily by exporters, exactly when a
-   racy read is observable only mid-batch. *)
-type shard = {
-  mutable sh_jobs : int;
-  mutable sh_hits : int;
-  mutable sh_misses : int;
-  mutable sh_restores : int;
-  mutable sh_loads : int;
-  mutable sh_replicas : int;
-  sh_mutex : Mutex.t;
-  sh_outcomes : (string, int) Hashtbl.t;  (* status key -> count *)
-  sh_queue_wait : lhist;
-  sh_execute : lhist;
-}
-
-let mk_shard () =
-  {
-    sh_jobs = 0;
-    sh_hits = 0;
-    sh_misses = 0;
-    sh_restores = 0;
-    sh_loads = 0;
-    sh_replicas = 0;
-    sh_mutex = Mutex.create ();
-    sh_outcomes = Hashtbl.create 16;
-    sh_queue_wait = mk_lhist ();
-    sh_execute = mk_lhist ();
-  }
-
 type image_key = string * string * bool  (** (scenario, config, sanitize) *)
 
-(* Per-worker context: the prepared-scenario cache plus this worker's
-   metrics shard. Machines are a couple of megabytes each (contents +
-   taint, twice: live + snapshot), so the cache is bounded with FIFO
-   eviction; hot scenarios stay prepared, a cold sweep degrades to
-   load-per-job. *)
+(* Per-worker context: the prepared-scenario cache. Machines are a
+   couple of megabytes each (contents + taint, twice: live + snapshot),
+   so the cache is bounded with FIFO eviction; hot scenarios stay
+   prepared, a cold sweep degrades to load-per-job. *)
 type ctx = {
   cx_prepared : (image_key, Driver.prepared * int) Hashtbl.t;
       (** the prepared scenario + the {!input_digest} of its attacker
           input, copied from the image store entry it was built for *)
   cx_order : image_key Queue.t;
   cx_cap : int;
-  cx_shard : shard;
 }
 
 (* (scenario, config, chaos seed, request digest, sanitize) *)
@@ -324,15 +258,15 @@ type memo_shard = {
   ms_tbl : (memo_key, reply * int ref) Hashtbl.t;  (* reply + last-use gen *)
   ms_order : (memo_key * int) Queue.t;  (* (key, gen at stamp time) *)
   mutable ms_gen : int;
-  mutable ms_evictions : int;
 }
 
 type memo = {
   mc_shards : memo_shard array;
   mc_cap : int;  (** per-shard entry cap *)
+  mc_evictions : Metrics.counter;  (** [pna_memo_evictions_total] *)
 }
 
-let mk_memo ~cap =
+let mk_memo ~cap ~evictions =
   {
     mc_shards =
       Array.init memo_shard_count (fun _ ->
@@ -341,9 +275,9 @@ let mk_memo ~cap =
             ms_tbl = Hashtbl.create 32;
             ms_order = Queue.create ();
             ms_gen = 0;
-            ms_evictions = 0;
           });
     mc_cap = max 1 (cap / memo_shard_count);
+    mc_evictions = evictions;
   }
 
 let memo_shard_of key = Hashtbl.hash key land (memo_shard_count - 1)
@@ -370,23 +304,23 @@ let compact_order ms ~cap =
     done
   end
 
-let evict_lru ms ~cap =
+let evict_lru mc ms =
   let give_up = ref false in
-  while Hashtbl.length ms.ms_tbl > cap && not !give_up do
+  while Hashtbl.length ms.ms_tbl > mc.mc_cap && not !give_up do
     match Queue.take_opt ms.ms_order with
     | None -> give_up := true  (* unreachable: every entry has a stamp *)
     | Some (k, g) -> (
       match Hashtbl.find_opt ms.ms_tbl k with
       | Some (_, gr) when !gr = g ->
         Hashtbl.remove ms.ms_tbl k;
-        ms.ms_evictions <- ms.ms_evictions + 1
+        Metrics.incr mc.mc_evictions
       | _ -> ())
   done
 
 (* Registry-backed instrumentation, one registry per service instance so
-   tests (and parallel services) see isolated counters. The interned
-   instruments are held directly; outcome counters are keyed by status
-   and interned on flush. *)
+   tests (and parallel services) see isolated counters. Every instrument,
+   one outcome counter per status key included, is interned here, so a
+   job's accounting never looks anything up in the registry. *)
 type instruments = {
   i_registry : Metrics.registry;
   i_jobs : Metrics.counter;
@@ -396,6 +330,7 @@ type instruments = {
   i_loads : Metrics.counter;
   i_replicas : Metrics.counter;
   i_evictions : Metrics.counter;
+  i_outcomes : (string * Metrics.counter) list;  (** status key -> counter *)
   i_queue_wait : Metrics.histogram;  (** µs from submit to dequeue *)
   i_execute : Metrics.histogram;  (** µs executing (memo hits excluded) *)
 }
@@ -420,24 +355,16 @@ let mk_instruments () =
       Metrics.counter reg "pna_service_images_total"
         ~labels:[ ("source", "replica_thaw") ];
     i_evictions = Metrics.counter reg "pna_memo_evictions_total";
+    i_outcomes =
+      List.map
+        (fun k ->
+          ( k,
+            Metrics.counter reg "pna_service_outcomes_total"
+              ~labels:[ ("status", k) ] ))
+        Outcome.status_keys;
     i_queue_wait = Metrics.histogram reg "pna_service_queue_wait_us";
     i_execute = Metrics.histogram reg "pna_service_execute_us";
   }
-
-(* What has already been flushed from the shards into the registry, so
-   a flush publishes only deltas and repeated exports stay idempotent. *)
-type published = {
-  mutable p_jobs : int;
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_restores : int;
-  mutable p_loads : int;
-  mutable p_replicas : int;
-  mutable p_evictions : int;
-  p_outcomes : (string, int) Hashtbl.t;
-  p_queue_wait : lhist;
-  p_execute : lhist;
-}
 
 (* A memo entry in portable form: the full key fields plus the reply —
    what the persistence layer appends to its log and feeds back through
@@ -459,7 +386,6 @@ type image_slot = Building | Built of Driver.image * int
 
 type t = {
   pool : ctx Pool.t;
-  shards : shard list Atomic.t;  (** one per worker, registered at spawn *)
   images : (image_key, image_slot) Hashtbl.t;
       (** the shared frozen-image store, same key as [cx_prepared]. The
           first worker to miss on a key claims the slot, pays
@@ -470,14 +396,12 @@ type t = {
           (scenario, config, sanitize) point, bounded by the catalogue. *)
   images_mutex : Mutex.t;  (** guards [images]; local misses only *)
   images_built : Condition.t;
-      (** broadcast when a [Building] slot is published or released *)
+      (** broadcast when a [Building] slot is filled or released *)
   memo : memo option;  (** [None]: memoization off *)
   memo_sink : (memo_entry -> unit) option Atomic.t;
       (** mirrors fresh memo entries; runs on the worker that computed
           them *)
   ins : instruments;
-  flush_mutex : Mutex.t;
-  pub : published;
 }
 
 let default_memo_cap = 65_536
@@ -488,171 +412,53 @@ let create ?(jobs = Domain.recommended_domain_count ()) ?(memo = true)
     invalid_arg "Service.create: prepared_cap must be positive";
   if memo_cap < 1 then
     invalid_arg "Service.create: memo_cap must be positive";
-  let shards = Atomic.make [] in
-  let register sh =
-    let rec go () =
-      let cur = Atomic.get shards in
-      if not (Atomic.compare_and_set shards cur (sh :: cur)) then go ()
-    in
-    go ()
-  in
   (* runs inside each worker domain at spawn *)
   let mk_ctx () =
-    let sh = mk_shard () in
-    register sh;
     {
       cx_prepared = Hashtbl.create prepared_cap;
       cx_order = Queue.create ();
       cx_cap = prepared_cap;
-      cx_shard = sh;
     }
   in
+  let ins = mk_instruments () in
   {
     pool = Pool.create ~jobs ~mk_ctx ();
-    shards;
     images = Hashtbl.create 64;
     images_mutex = Mutex.create ();
     images_built = Condition.create ();
-    memo = (if memo then Some (mk_memo ~cap:memo_cap) else None);
+    memo =
+      (if memo then Some (mk_memo ~cap:memo_cap ~evictions:ins.i_evictions)
+       else None);
     memo_sink = Atomic.make None;
-    ins = mk_instruments ();
-    flush_mutex = Mutex.create ();
-    pub = {
-      p_jobs = 0;
-      p_hits = 0;
-      p_misses = 0;
-      p_restores = 0;
-      p_loads = 0;
-      p_replicas = 0;
-      p_evictions = 0;
-      p_outcomes = Hashtbl.create 16;
-      p_queue_wait = mk_lhist ();
-      p_execute = mk_lhist ();
-    };
+    ins;
   }
 
 let jobs t = Pool.jobs t.pool
 
-let memo_evictions t =
-  match t.memo with
-  | None -> 0
-  | Some mc ->
-    Array.fold_left
-      (fun a ms ->
-        Mutex.lock ms.ms_mutex;
-        let n = a + ms.ms_evictions in
-        Mutex.unlock ms.ms_mutex;
-        n)
-      0 mc.mc_shards
-
-(* -- shard aggregation --------------------------------------------- *)
-
-let fold_shards t f init = List.fold_left f init (Atomic.get t.shards)
-
-let merged_outcomes t =
-  let acc = Hashtbl.create 16 in
-  List.iter
-    (fun sh ->
-      Mutex.lock sh.sh_mutex;
-      Hashtbl.iter
-        (fun k n ->
-          Hashtbl.replace acc k (n + Option.value ~default:0 (Hashtbl.find_opt acc k)))
-        sh.sh_outcomes;
-      Mutex.unlock sh.sh_mutex)
-    (Atomic.get t.shards);
-  acc
-
-let merged_lhist t leg =
-  let total = mk_lhist () in
-  List.iter
-    (fun sh ->
-      let lh = leg sh in
-      total.lh_count <- total.lh_count + lh.lh_count;
-      total.lh_sum <- total.lh_sum +. lh.lh_sum;
-      Array.iteri
-        (fun i n -> total.lh_buckets.(i) <- total.lh_buckets.(i) + n)
-        lh.lh_buckets)
-    (Atomic.get t.shards);
-  total
-
-(* Flush shard deltas into the registry. Exports (prometheus dump, JSON,
-   [registry]) see the same external totals the per-job registry writes
-   used to produce — the sharding only moves *when* the shared structure
-   is touched from per-job to per-export. *)
-let flush t =
-  Mutex.lock t.flush_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.flush_mutex) @@ fun () ->
-  let i = t.ins and p = t.pub in
-  let counter_delta total pub set ins =
-    if total > pub then begin
-      Metrics.incr ~by:(total - pub) ins;
-      set total
-    end
-  in
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_jobs) 0) p.p_jobs
-    (fun v -> p.p_jobs <- v) i.i_jobs;
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_hits) 0) p.p_hits
-    (fun v -> p.p_hits <- v) i.i_memo_hit;
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_misses) 0) p.p_misses
-    (fun v -> p.p_misses <- v) i.i_memo_miss;
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_restores) 0) p.p_restores
-    (fun v -> p.p_restores <- v) i.i_restores;
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_loads) 0) p.p_loads
-    (fun v -> p.p_loads <- v) i.i_loads;
-  counter_delta (fold_shards t (fun a sh -> a + sh.sh_replicas) 0) p.p_replicas
-    (fun v -> p.p_replicas <- v) i.i_replicas;
-  counter_delta (memo_evictions t) p.p_evictions
-    (fun v -> p.p_evictions <- v) i.i_evictions;
-  Hashtbl.iter
-    (fun k total ->
-      let pub = Option.value ~default:0 (Hashtbl.find_opt p.p_outcomes k) in
-      if total > pub then begin
-        Metrics.incr ~by:(total - pub)
-          (Metrics.counter i.i_registry "pna_service_outcomes_total"
-             ~labels:[ ("status", k) ]);
-        Hashtbl.replace p.p_outcomes k total
-      end)
-    (merged_outcomes t);
-  let flush_hist leg pub ins =
-    let total = merged_lhist t leg in
-    if total.lh_count > pub.lh_count then begin
-      let buckets =
-        Array.init 64 (fun b -> total.lh_buckets.(b) - pub.lh_buckets.(b))
-      in
-      Metrics.absorb ins ~count:(total.lh_count - pub.lh_count)
-        ~sum:(total.lh_sum -. pub.lh_sum) ~buckets;
-      pub.lh_count <- total.lh_count;
-      pub.lh_sum <- total.lh_sum;
-      Array.blit total.lh_buckets 0 pub.lh_buckets 0 64
-    end
-  in
-  flush_hist (fun sh -> sh.sh_queue_wait) p.p_queue_wait i.i_queue_wait;
-  flush_hist (fun sh -> sh.sh_execute) p.p_execute i.i_execute
-
-let registry t =
-  flush t;
-  t.ins.i_registry
+let registry t = t.ins.i_registry
 
 let pp_prometheus ppf t = Metrics.pp_prometheus ppf (registry t)
 
 let stats t =
-  let outcomes =
-    Hashtbl.fold (fun k n acc -> (k, n) :: acc) (merged_outcomes t) []
-    |> List.sort compare
-  in
-  let qw = merged_lhist t (fun sh -> sh.sh_queue_wait) in
-  let ex = merged_lhist t (fun sh -> sh.sh_execute) in
+  let i = t.ins in
+  let hist h = (Metrics.hist_count h, Metrics.hist_sum h) in
   {
-    st_jobs = fold_shards t (fun a sh -> a + sh.sh_jobs) 0;
-    st_memo_hits = fold_shards t (fun a sh -> a + sh.sh_hits) 0;
-    st_memo_misses = fold_shards t (fun a sh -> a + sh.sh_misses) 0;
-    st_memo_evictions = memo_evictions t;
-    st_snapshot_restores = fold_shards t (fun a sh -> a + sh.sh_restores) 0;
-    st_fresh_loads = fold_shards t (fun a sh -> a + sh.sh_loads) 0;
-    st_replica_clones = fold_shards t (fun a sh -> a + sh.sh_replicas) 0;
-    st_outcomes = outcomes;
-    st_queue_wait_us = (qw.lh_count, qw.lh_sum);
-    st_execute_us = (ex.lh_count, ex.lh_sum);
+    st_jobs = Metrics.count i.i_jobs;
+    st_memo_hits = Metrics.count i.i_memo_hit;
+    st_memo_misses = Metrics.count i.i_memo_miss;
+    st_memo_evictions = Metrics.count i.i_evictions;
+    st_snapshot_restores = Metrics.count i.i_restores;
+    st_fresh_loads = Metrics.count i.i_loads;
+    st_replica_clones = Metrics.count i.i_replicas;
+    st_outcomes =
+      List.filter_map
+        (fun (k, c) ->
+          let n = Metrics.count c in
+          if n > 0 then Some (k, n) else None)
+        i.i_outcomes
+      |> List.sort compare;
+    st_queue_wait_us = hist i.i_queue_wait;
+    st_execute_us = hist i.i_execute;
   }
 
 let shutdown t = Pool.shutdown t.pool
@@ -662,7 +468,7 @@ let shutdown t = Pool.shutdown t.pool
 (* How a job is answered, cheapest tier first:
 
    0. the memo — looked up before any machine work. Its key needs the
-      attacker input's digest, which is published beside each frozen
+      attacker input's digest, which is stored beside each frozen
       image: read it from the worker's own [cx_prepared] entry (no
       lock), else from the service-wide image store (one lock). A hit
       returns without a restore, a thaw or a load. Only while no image
@@ -681,7 +487,7 @@ let shutdown t = Pool.shutdown t.pool
    3. [Driver.prepare] — the one true cold path. The worker claims the
       key's slot first, so a concurrent cold miss on the same key waits
       for this build and thaws it instead of loading a duplicate; the
-      input digest is taken from the fresh machine and published with
+      input digest is taken from the fresh machine and stored with
       the frozen image. Each image is loaded once, and every load or
       thaw serves a job that then executes — unless a preloaded memo
       entry answers the job that built the first image.
@@ -691,7 +497,7 @@ let shutdown t = Pool.shutdown t.pool
 let image_key (j : job) : image_key =
   (j.j_attack.Catalog.id, j.j_config.Config.name, j.j_sanitize)
 
-let published_digest t key =
+let image_digest t key =
   Mutex.lock t.images_mutex;
   let d =
     match Hashtbl.find_opt t.images key with
@@ -727,7 +533,7 @@ let settle t key slot =
   Condition.broadcast t.images_built;
   Mutex.unlock t.images_mutex
 
-let build t ctx key (j : job) =
+let build t key (j : job) =
   match
     let p =
       Driver.prepare ~config:j.j_config ~sanitize:j.j_sanitize j.j_attack
@@ -736,7 +542,7 @@ let build t ctx key (j : job) =
     (p, digest, Driver.freeze p)
   with
   | p, digest, im ->
-    ctx.cx_shard.sh_loads <- ctx.cx_shard.sh_loads + 1;
+    Metrics.incr t.ins.i_loads;
     settle t key (Some (Built (im, digest)));
     (p, digest)
   | exception e ->
@@ -751,9 +557,9 @@ let prepared_for t ctx key (j : job) =
     let entry =
       match claim_or_wait t key with
       | Some (im, digest) ->
-        ctx.cx_shard.sh_replicas <- ctx.cx_shard.sh_replicas + 1;
+        Metrics.incr t.ins.i_replicas;
         (Driver.thaw im, digest)
-      | None -> build t ctx key j
+      | None -> build t key j
     in
     if Hashtbl.length ctx.cx_prepared >= ctx.cx_cap then begin
       match Queue.take_opt ctx.cx_order with
@@ -795,7 +601,7 @@ let memo_store t key reply =
         let genref = ref 0 in
         Hashtbl.add ms.ms_tbl key (reply, genref);
         stamp ms key genref;
-        evict_lru ms ~cap:mc.mc_cap;
+        evict_lru mc ms;
         true
       end
     in
@@ -803,32 +609,28 @@ let memo_store t key reply =
     added
 
 
-(* All per-job accounting lands in the worker's own shard. *)
-let account ctx reply ~restores ~memo_hit =
-  let sh = ctx.cx_shard in
-  sh.sh_jobs <- sh.sh_jobs + 1;
-  if memo_hit then sh.sh_hits <- sh.sh_hits + 1
-  else sh.sh_misses <- sh.sh_misses + 1;
-  sh.sh_restores <- sh.sh_restores + restores;
-  (* count over the rendered status's stable key prefix *)
+(* Every reply is counted by the key of its rendered status — a memo
+   hit carries only the rendered form. A status no head matches (a
+   record from a foreign memo log) counts as an internal error. *)
+let account t reply ~restores ~memo_hit =
+  let i = t.ins in
+  Metrics.incr i.i_jobs;
+  Metrics.incr (if memo_hit then i.i_memo_hit else i.i_memo_miss);
+  if restores > 0 then Metrics.incr ~by:restores i.i_restores;
   let k =
-    match String.index_opt reply.r_status ' ' with
-    | Some idx -> String.sub reply.r_status 0 idx
-    | None -> reply.r_status
+    Option.value ~default:"internal-error"
+      (Outcome.key_of_rendered reply.r_status)
   in
-  Mutex.lock sh.sh_mutex;
-  Hashtbl.replace sh.sh_outcomes k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt sh.sh_outcomes k));
-  Mutex.unlock sh.sh_mutex
+  Metrics.incr (List.assoc k i.i_outcomes)
 
-(* The input digest of a key's image, if one has been published —
+(* The input digest of a key's image, if one has been stored —
    without touching a machine. Memo off: nothing to look up. *)
 let known_digest t ctx key =
   if t.memo = None then None
   else
     match Hashtbl.find_opt ctx.cx_prepared key with
     | Some (_, digest) -> Some digest
-    | None -> published_digest t key
+    | None -> image_digest t key
 
 let memo_key (j : job) digest : memo_key =
   ( j.j_attack.Catalog.id,
@@ -837,13 +639,13 @@ let memo_key (j : job) digest : memo_key =
     request_digest ~input:digest ~max_steps:j.j_max_steps,
     j.j_sanitize )
 
-let serve_hit ctx cached =
+let serve_hit t cached =
   let reply = { cached with r_cached = true } in
   Trace.add_args [ ("memo", Trace.Bool true) ];
-  account ctx reply ~restores:0 ~memo_hit:true;
+  account t reply ~restores:0 ~memo_hit:true;
   reply
 
-let run_miss t ctx (j : job) p key =
+let run_miss t (j : job) p key =
   let restores_before = Driver.restores p in
   let t0 = Clock.now_ns () in
   let reply =
@@ -858,7 +660,7 @@ let run_miss t ctx (j : job) p key =
       in
       reply_of_supervised ~chaos_seed:seed s
   in
-  lh_observe ctx.cx_shard.sh_execute
+  Metrics.observe t.ins.i_execute
     (Clock.elapsed_us ~a:t0 ~b:(Clock.now_ns ()));
   Trace.add_args
     [ ("memo", Trace.Bool false); ("status", Trace.Str reply.r_status) ];
@@ -878,7 +680,7 @@ let run_miss t ctx (j : job) p key =
           me_reply = reply;
         }
   end;
-  account ctx reply ~restores:(Driver.restores p - restores_before)
+  account t reply ~restores:(Driver.restores p - restores_before)
     ~memo_hit:false;
   reply
 
@@ -893,14 +695,14 @@ let execute t ctx (j : job) =
   let ikey = image_key j in
   let early = Option.map (memo_key j) (known_digest t ctx ikey) in
   match Option.bind early (memo_find t) with
-  | Some cached -> serve_hit ctx cached
+  | Some cached -> serve_hit t cached
   | None -> (
     let p, digest = prepared_for t ctx ikey j in
     let key = memo_key j digest in
     (* no image had been built: a preloaded entry may still answer *)
     match if early = None then memo_find t key else None with
-    | Some cached -> serve_hit ctx cached
-    | None -> run_miss t ctx j p key)
+    | Some cached -> serve_hit t cached
+    | None -> run_miss t j p key)
 
 (* --- client API --- *)
 
@@ -931,7 +733,7 @@ let submit ?notify t j =
   let enqueued = Clock.now_ns () in
   Pool.submit ?notify t.pool (fun ctx ->
       let wait_us = Clock.elapsed_us ~a:enqueued ~b:(Clock.now_ns ()) in
-      lh_observe ctx.cx_shard.sh_queue_wait wait_us;
+      Metrics.observe t.ins.i_queue_wait wait_us;
       queue_wait_span j ~enqueued ~wait_us;
       traced_execute t ctx j)
 
@@ -941,7 +743,7 @@ let try_submit ?notify t j =
   let enqueued = Clock.now_ns () in
   Pool.try_submit ?notify t.pool (fun ctx ->
       let wait_us = Clock.elapsed_us ~a:enqueued ~b:(Clock.now_ns ()) in
-      lh_observe ctx.cx_shard.sh_queue_wait wait_us;
+      Metrics.observe t.ins.i_queue_wait wait_us;
       queue_wait_span j ~enqueued ~wait_us;
       traced_execute t ctx j)
 

@@ -85,12 +85,13 @@ type stats = {
   st_replica_clones : int;
       (** domain-local replicas thawed from the shared image store — one
           worker pays the loader per key, every other domain clones *)
-  st_outcomes : (string * int) list;  (** status key -> count, sorted *)
+  st_outcomes : (string * int) list;
+      (** {!Pna_minicpp.Outcome.status_key} -> count, sorted; keys with
+          no job are left out *)
   st_queue_wait_us : int * float;  (** (observations, total µs) queued *)
   st_execute_us : int * float;  (** (observations, total µs) executing *)
 }
 
-val status_key : Pna_minicpp.Outcome.status -> string
 val pp_stats : Format.formatter -> stats -> unit
 
 val pp_stats_line : Format.formatter -> stats -> unit
@@ -122,21 +123,18 @@ val jobs : t -> int
 (** Effective worker count. *)
 
 val stats : t -> stats
-(** Aggregated over the per-worker metric shards. Job accounting is
-    sharded per domain — workers touch only domain-local state between
-    submit and reply — and merged here on demand. *)
+(** Read from the instruments of {!registry}, which every job counts
+    into directly as it is answered. *)
 
 val registry : t -> Pna_telemetry.Metrics.registry
 (** The per-instance registry — counters [pna_service_jobs_total],
     [pna_service_memo_total{result}], [pna_memo_evictions_total],
     [pna_service_images_total{source}],
-    [pna_service_outcomes_total{status}] and histograms
-    [pna_service_queue_wait_us], [pna_service_execute_us]. Shard deltas
-    are flushed into it on each call, so the external totals are the
-    same as when every job wrote the registry directly. *)
-
-val memo_evictions : t -> int
-(** Total memo entries evicted at the LRU cap since creation. *)
+    [pna_service_outcomes_total{status}] (one per
+    {!Pna_minicpp.Outcome.status_keys} entry) and histograms
+    [pna_service_queue_wait_us], [pna_service_execute_us]. Workers
+    write it as each job is answered; a memo eviction is counted when
+    it happens. *)
 
 val pp_prometheus : Format.formatter -> t -> unit
 (** Prometheus text-exposition dump of {!registry}. *)

@@ -4,8 +4,10 @@
     Instruments are keyed by [(name, labels)] and interned on first use,
     so call sites hold the instrument itself and the hot path touches
     only an [Atomic] (counters, gauges) or a short mutex-protected
-    bucket update (histograms). Registries are first-class — the
-    {!Service} keeps one per service instance for test isolation — and a
+    bucket update (histograms) — cheap enough that service workers
+    count every job straight into the registry. Registries are
+    first-class — the {!Service} keeps one per service instance for
+    test isolation — and a
     process-wide {!default} registry collects instrumentation from
     layers that have no natural owner (Machine event bridging).
 
@@ -104,27 +106,18 @@ let bucket_of v =
     let i = int_of_float (Float.ceil (Float.log2 v)) in
     if i >= 63 then 63 else i
 
+(* Locked without [locked]'s closure: the service observes twice per
+   job. Nothing in the critical section can raise. *)
 let observe h v =
-  locked h.h_mutex (fun () ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      let i = bucket_of v in
-      h.h_buckets.(i) <- h.h_buckets.(i) + 1)
+  let i = bucket_of v in
+  Mutex.lock h.h_mutex;
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum +. v;
+  h.h_buckets.(i) <- h.h_buckets.(i) + 1;
+  Mutex.unlock h.h_mutex
 
 let hist_count h = locked h.h_mutex (fun () -> h.h_count)
 let hist_sum h = locked h.h_mutex (fun () -> h.h_sum)
-
-(* Merge a batch of observations accumulated off-registry — how a
-   per-domain shard flushes into the shared histogram on export.
-   [buckets] must use the same log2 bucketing as {!bucket_of} and may be
-   shorter than 64 entries. *)
-let absorb h ~count ~sum ~buckets =
-  locked h.h_mutex (fun () ->
-      h.h_count <- h.h_count + count;
-      h.h_sum <- h.h_sum +. sum;
-      Array.iteri
-        (fun i n -> if n <> 0 then h.h_buckets.(i) <- h.h_buckets.(i) + n)
-        buckets)
 
 (* -- snapshots ------------------------------------------------------ *)
 

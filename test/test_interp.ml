@@ -505,10 +505,42 @@ let prop_expressions_deterministic =
     (QCheck.make ~print:expr_print gen_arith)
     (fun e -> result [ set (v "r") e ] = result [ set (v "r") e ])
 
+(* Every constructor's rendered status maps back to its key, so a reply
+   that carries only the rendered form is counted under the same key. *)
+let test_status_key_of_rendered () =
+  let statuses =
+    Outcome.
+      [
+        Exited 0;
+        Arc_injection { via = Return_address; symbol = "system"; tainted = true };
+        Code_injection { via = Vtable; target = 0x0804_8000; tainted = false };
+        Crashed "segfault";
+        Stack_smashing_detected;
+        Defense_blocked "shadow stack";
+        Timeout { steps = 10 };
+        Out_of_memory;
+        Internal_error "bug";
+        Recovered { attempts = 2; final_attempt = 2; exit_code = 0 };
+      ]
+  in
+  List.iter
+    (fun st ->
+      let rendered = Fmt.str "%a" Outcome.pp_status st in
+      Alcotest.(check (option string)) rendered
+        (Some (Outcome.status_key st))
+        (Outcome.key_of_rendered rendered))
+    statuses;
+  Alcotest.(check (list string)) "one key per constructor"
+    (List.sort_uniq compare (List.map Outcome.status_key statuses))
+    (List.sort compare Outcome.status_keys);
+  Alcotest.(check (option string)) "foreign string" None
+    (Outcome.key_of_rendered "no such status")
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "interp",
     [
+      t "status keys survive rendering" test_status_key_of_rendered;
       t "arithmetic" test_arith;
       t "division by zero crashes" test_div_by_zero_crashes;
       t "comparisons" test_comparisons;

@@ -312,16 +312,19 @@ let test_memo_lru_evicts_at_cap () =
   let (_ : Service.reply list) =
     Service.run_batch svc (List.map job seeds)
   in
-  let evicted = Service.memo_evictions svc in
   let st = Service.stats svc in
+  let evicted = st.Service.st_memo_evictions in
+  let exported =
+    Pna_telemetry.Metrics.(
+      count (counter (Service.registry svc) "pna_memo_evictions_total"))
+  in
   (* the survivors still serve from memo, evicted keys recompute — and
      both still answer with the same verdict *)
   let again = Service.run_batch svc (List.map job seeds) in
   let st2 = Service.stats svc in
   Service.shutdown svc;
   Alcotest.(check bool) "cap forces evictions" true (evicted > 0);
-  Alcotest.(check int) "stats expose the eviction count" evicted
-    st.Service.st_memo_evictions;
+  Alcotest.(check int) "registry exports the eviction count" evicted exported;
   Alcotest.(check bool) "some repeats still hit the memo" true
     (st2.Service.st_memo_hits > st.Service.st_memo_hits);
   Alcotest.(check bool) "evicted keys recompute, not fail" true
@@ -422,8 +425,8 @@ let test_clock_monotonic_across_domains () =
   Alcotest.(check bool) "elapsed_us of an ordered pair >= 0" true
     (Clock.elapsed_us ~a ~b:c >= 0.)
 
-(* Sharded metrics: the registry a caller sees is the same whether jobs
-   ran on one worker or many, and repeated exports do not double-count. *)
+(* Four workers count into one registry: an export sees every job, and
+   exporting has no side effect, so a second dump equals the first. *)
 let test_sharded_registry_stable () =
   let svc = Service.create ~jobs:4 () in
   let js = Service.matrix_jobs ~configs:[ Config.none ] ~max_steps:60_000 () in
@@ -433,7 +436,7 @@ let test_sharded_registry_stable () =
   let again = dump () in
   let st = Service.stats svc in
   Service.shutdown svc;
-  Alcotest.(check string) "repeated export identical (flush is delta-based)"
+  Alcotest.(check string) "repeated export identical (exports only read)"
     first again;
   Alcotest.(check int) "stats see every job" (List.length js) st.Service.st_jobs;
   let has fragment =
@@ -445,6 +448,48 @@ let test_sharded_registry_stable () =
     (has (Fmt.str "pna_service_jobs_total %d" (List.length js)));
   Alcotest.(check bool) "queue-wait histogram exported" true
     (has (Fmt.str "pna_service_queue_wait_us_count %d" (List.length js)))
+
+(* Two workers count straight into one registry while a cap-16 memo
+   evicts under them: once the batch is answered, the stats agree with
+   each other and with the export. Outcomes are counted by status key —
+   never by a rendered status's first word ("exited(0)", "***"). *)
+let test_stats_agree_under_concurrency () =
+  let svc = Service.create ~jobs:2 ~memo_cap:16 () in
+  let attacks =
+    [ Pna_attacks.L13_stack_ret.attack; Pna_attacks.L11_data_bss.attack ]
+  in
+  let configs = Config.[ none; stackguard; full ] in
+  let plain =
+    List.concat_map
+      (fun a ->
+        List.map (fun config -> Service.job ~max_steps:60_000 ~config a) configs)
+      attacks
+  in
+  let chaos =
+    List.init 12 (fun i ->
+        Service.job ~chaos_seed:(i + 1) ~max_steps:60_000 ~config:Config.none
+          Pna_attacks.L13_stack_ret.attack)
+  in
+  let js = plain @ chaos in
+  let (_ : Service.reply list) = Service.run_batch svc (js @ js @ js) in
+  let st = Service.stats svc in
+  let dump = Fmt.str "%a" Service.pp_prometheus svc in
+  Service.shutdown svc;
+  let outcomes = List.fold_left (fun a (_, n) -> a + n) 0 st.Service.st_outcomes in
+  Alcotest.(check int) "every job counted" (3 * List.length js) st.Service.st_jobs;
+  Alcotest.(check int) "jobs = hits + misses" st.Service.st_jobs
+    (st.Service.st_memo_hits + st.Service.st_memo_misses);
+  Alcotest.(check int) "jobs = sum of outcomes" st.Service.st_jobs outcomes;
+  List.iter
+    (fun (k, _) ->
+      Alcotest.(check bool) (k ^ " is a status key") true
+        (List.mem k Pna_minicpp.Outcome.status_keys))
+    st.Service.st_outcomes;
+  Alcotest.(check bool) "the cap evicted" true (st.Service.st_memo_evictions > 0);
+  Alcotest.(check bool) "export carries the eviction count" true
+    (List.mem
+       (Fmt.str "pna_memo_evictions_total %d" st.Service.st_memo_evictions)
+       (String.split_on_char '\n' dump))
 
 (* The shared frozen-image store: with memo off, every worker that
    touches a scenario needs its own prepared replica, but only cold
@@ -654,6 +699,8 @@ let suite =
       t "queue-wait sampled monotonically, one per job" test_queue_wait_monotonic;
       t "monotonic clock ordered across domains" test_clock_monotonic_across_domains;
       t "sharded registry: stable, complete exports" test_sharded_registry_stable;
+      t "stats agree with each other and the export (2 workers)"
+        test_stats_agree_under_concurrency;
       t "replica store: cold loads bounded by workers"
         test_replica_store_bounds_loads;
       t "memo key covers the deadline (10 then 200 000 steps)"
