@@ -304,21 +304,25 @@ let service_stream_of size =
       Service.job ~config:Config.none ~max_steps:60_000
         Pna.Experiments.benign_pool)
 
-let service_stream = service_stream_of 32
-
-let bench_service_batch ~size stream n =
-  Test.make
-    ~name:(Fmt.str "service/batch_%d_benign_%dd" size n)
-    (stage (fun () ->
-         let svc = Service.create ~jobs:n ~memo:false () in
-         ignore (Service.run_batch svc stream);
-         Service.shutdown svc))
-
 (* A row whose fixture is built when the row starts and released when it
    ends, so no fixture outlives its row: a service's worker domains are
    shut down before the next row runs. *)
 let with_fixture ~name ?(free = ignore) allocate fn =
   Test.make_with_resource ~name Test.uniq ~allocate ~free (stage fn)
+
+(* Each batch row builds only its own stream and compacts before timing,
+   so it starts from a settled heap whatever the rows before it left. *)
+let bench_service_batch ~size n =
+  with_fixture
+    ~name:(Fmt.str "service/batch_%d_benign_%dd" size n)
+    (fun () ->
+      let stream = service_stream_of size in
+      Gc.compact ();
+      stream)
+    (fun stream ->
+      let svc = Service.create ~jobs:n ~memo:false () in
+      ignore (Service.run_batch svc stream);
+      Service.shutdown svc)
 
 let warm_service ?prepared_cap js =
   let svc = Service.create ~jobs:1 ?prepared_cap () in
@@ -328,53 +332,48 @@ let warm_service ?prepared_cap js =
 let shutdown_service (svc, _, _) = Service.shutdown svc
 
 let service_group () =
-  (let s32 = service_stream in
-   let s512 = service_stream_of 512 in
-   let s4096 = service_stream_of 4096 in
-   [
-     bench_service_batch ~size:32 s32 1;
-     bench_service_batch ~size:32 s32 2;
-     bench_service_batch ~size:32 s32 4;
-     bench_service_batch ~size:512 s512 1;
-     bench_service_batch ~size:512 s512 2;
-     bench_service_batch ~size:512 s512 4;
-     bench_service_batch ~size:4096 s4096 1;
-     bench_service_batch ~size:4096 s4096 4;
-   ])
-  @ [
-      Test.make ~name:"service/fresh_load_run" (stage (fun () ->
-          ignore (Driver.run Pna.Experiments.benign_pool)));
-      with_fixture ~name:"service/snapshot_rewind"
-        (fun () -> Driver.prepare Pna.Experiments.benign_pool)
-        (fun p -> ignore (Driver.reset p));
-      with_fixture ~name:"service/run_prepared"
-        (fun () -> Driver.prepare Pna.Experiments.benign_pool)
-        (fun p -> ignore (Driver.run_prepared p));
-      with_fixture ~name:"service/thaw"
-        (fun () -> Driver.freeze (Driver.prepare Pna.Experiments.benign_pool))
-        (fun im -> ignore (Driver.thaw im));
-      with_fixture ~name:"service/thaw_sanitized"
-        (fun () ->
-          Driver.freeze (Driver.prepare ~sanitize:true Pna.Experiments.benign_pool))
-        (fun im -> ignore (Driver.thaw im));
-      with_fixture ~name:"service/memo_hit" ~free:shutdown_service
-        (fun () ->
-          warm_service
-            [| Service.job ~config:Config.none Pna.Experiments.benign_pool |])
-        (fun (svc, js, _) -> ignore (Service.exec svc js.(0)));
-      (* a memo hit on a key that has left the worker's one-entry
-         prepared cache: alternate two warm keys, so every hit finds the
-         other key's machine local *)
-      with_fixture ~name:"service/memo_hit_evicted" ~free:shutdown_service
-        (fun () ->
-          warm_service ~prepared_cap:1
-            (Array.map
-               (fun a -> Service.job ~config:Config.none a)
-               [| Pna.Experiments.benign_pool; Pna_attacks.L13_stack_ret.attack |]))
-        (fun (svc, js, i) ->
-          incr i;
-          ignore (Service.exec svc js.(!i land 1)));
-    ]
+  [
+    bench_service_batch ~size:32 1;
+    bench_service_batch ~size:32 2;
+    bench_service_batch ~size:32 4;
+    bench_service_batch ~size:512 1;
+    bench_service_batch ~size:512 2;
+    bench_service_batch ~size:512 4;
+    bench_service_batch ~size:4096 1;
+    bench_service_batch ~size:4096 4;
+    Test.make ~name:"service/fresh_load_run" (stage (fun () ->
+        ignore (Driver.run Pna.Experiments.benign_pool)));
+    with_fixture ~name:"service/snapshot_rewind"
+      (fun () -> Driver.prepare Pna.Experiments.benign_pool)
+      (fun p -> ignore (Driver.reset p));
+    with_fixture ~name:"service/run_prepared"
+      (fun () -> Driver.prepare Pna.Experiments.benign_pool)
+      (fun p -> ignore (Driver.run_prepared p));
+    with_fixture ~name:"service/thaw"
+      (fun () -> Driver.freeze (Driver.prepare Pna.Experiments.benign_pool))
+      (fun im -> ignore (Driver.thaw im));
+    with_fixture ~name:"service/thaw_sanitized"
+      (fun () ->
+        Driver.freeze (Driver.prepare ~sanitize:true Pna.Experiments.benign_pool))
+      (fun im -> ignore (Driver.thaw im));
+    with_fixture ~name:"service/memo_hit" ~free:shutdown_service
+      (fun () ->
+        warm_service
+          [| Service.job ~config:Config.none Pna.Experiments.benign_pool |])
+      (fun (svc, js, _) -> ignore (Service.exec svc js.(0)));
+    (* a memo hit on a key that has left the worker's one-entry
+       prepared cache: alternate two warm keys, so every hit finds the
+       other key's machine local *)
+    with_fixture ~name:"service/memo_hit_evicted" ~free:shutdown_service
+      (fun () ->
+        warm_service ~prepared_cap:1
+          (Array.map
+             (fun a -> Service.job ~config:Config.none a)
+             [| Pna.Experiments.benign_pool; Pna_attacks.L13_stack_ret.attack |]))
+      (fun (svc, js, i) ->
+        incr i;
+        ignore (Service.exec svc js.(!i land 1)));
+  ]
 
 (* sanitizer: what the PNASan oracle costs — the prepared driver path
    with no oracle (the production configuration E14 gates at 5% over the

@@ -879,9 +879,21 @@ let serve_tcp_cmd =
     Arg.(value & opt int 2_000_000 & info [ "max-steps-cap" ] ~docv:"N"
            ~doc:"Ceiling clamped onto every request's step deadline.")
   in
+  (* The flag stays only because perfbench/child.ml passes [--loops 1]. *)
   let loops_t =
-    Arg.(value & opt int 1 & info [ "loops" ] ~docv:"N"
-           ~doc:"Select-loop domains sharing the listener (accept-fanout).              Each connection is owned by the loop that accepted it for its              whole life; the in-flight and connection caps stay global.")
+    let one =
+      let parse s =
+        if int_of_string_opt s = Some 1 then Ok ()
+        else
+          Error
+            (`Msg
+              (Fmt.str "%s: the server runs one select loop, so only 1 is \
+                        accepted" s))
+      in
+      Arg.conv (parse, fun ppf () -> Fmt.int ppf 1)
+    in
+    Arg.(value & opt one () & info [ "loops" ] ~docv:"1"
+           ~doc:"Select loops; only 1 is accepted. The server runs one loop              that owns the listener and every connection.")
   in
   let corpus_t =
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"PATH"
@@ -891,7 +903,7 @@ let serve_tcp_cmd =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH"
            ~doc:"With $(b,--metrics): write the server-side Chrome trace here              on drain, for merging with a client trace via              $(b,pna trace --merge).")
   in
-  let run jobs host port max_inflight memo_log max_steps_cap loops corpus
+  let run jobs host port max_inflight memo_log max_steps_cap () corpus
       metrics trace_out =
     if metrics || trace_out <> None then Telemetry.enable ();
     Option.iter
@@ -906,11 +918,11 @@ let serve_tcp_cmd =
       Server.start
         ~config:
           { Server.default_config with host; port; max_inflight; memo_log;
-            max_steps_cap; loops = max 1 loops }
+            max_steps_cap }
         svc
     in
-    Fmt.pr "pna: serving on %s:%d (%d workers, %d loop(s)%s)@." host
-      (Server.port server) (Service.jobs svc) (max 1 loops)
+    Fmt.pr "pna: serving on %s:%d (%d workers%s)@." host
+      (Server.port server) (Service.jobs svc)
       (match memo_log with
       | None -> ""
       | Some p ->

@@ -1951,9 +1951,9 @@ let e14_ok r =
 
 (* The scaling gate adapts to the host: with enough cores for the
    largest worker count the pool must actually be faster (2x at 4+
-   domains now that rewinds are dirty-page blits and dispatch is
-   per-worker deques, 1.2x at 2-3 — parallel overheads eat more of a
-   2-way run); oversubscribed hosts (CI smoke on small runners, 1-core
+   domains now that rewinds are dirty-page blits and workers size their
+   minor heaps, 1.2x at 2-3 — parallel overheads eat more of a 2-way
+   run); oversubscribed hosts (CI smoke on small runners, 1-core
    dev boxes) only have to bound the anti-scaling — domains that fight
    for one core may lose ground to context switches and GC rendezvous,
    but a healthy pool loses at most 2.5x, not the ~6x an untuned minor

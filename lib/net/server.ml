@@ -1,13 +1,10 @@
-(** The TCP front end: sharded select-loops in their own domains
-    bridging socket I/O to the {!Pna_service.Service} pool.
+(** The TCP front end: one select loop in its own domain bridging
+    socket I/O to the {!Pna_service.Service} pool.
 
-    [loops] (default 1) select-loop domains share one nonblocking
-    listener — accept-fanout: every loop includes the listener in its
-    read set and whichever loop wins the [accept] owns that connection
-    for its whole life (read, decode, submit, reply). Connection state
-    never migrates, so each loop's tables stay domain-private; only the
-    admission counters (open connections, in-flight jobs) are shared
-    atomics, keeping [max_conns]/[max_inflight] global caps.
+    The loop owns the listener and every connection (read, decode,
+    submit, reply), so its tables and admission counters are private to
+    its domain; only the stop flag and the self-pipe are touched from
+    outside it.
 
     Robustness properties, each load-bearing for the E16 gates:
 
@@ -45,10 +42,7 @@ module Config = Pna_defense.Config
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  loops : int;
-      (** select-loop domains sharing the listener (accept-fanout); 1
-          recovers the historical single-loop front end *)
-  max_inflight : int;  (** admitted-but-unfinished request cap, global *)
+  max_inflight : int;  (** admitted-but-unfinished request cap *)
   max_conns : int;
   idle_timeout_s : float;
   drain_timeout_s : float;  (** graceful-stop budget *)
@@ -61,7 +55,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    loops = 1;
     max_inflight = 64;
     max_conns = 128;
     idle_timeout_s = 10.;
@@ -99,18 +92,10 @@ type t = {
   cfg : config;
   svc : Service.t;
   lsock : Unix.file_descr;
-  lsock_closed : bool Atomic.t;
-      (** CAS-guarded: exactly one loop closes the shared listener at
-          drain time *)
   srv_port : int;
-  pipes : (Unix.file_descr * Unix.file_descr) array;
-      (** one self-pipe per loop; workers poke the admitting loop's *)
+  pipe : Unix.file_descr * Unix.file_descr;
+      (** the self-pipe: workers and [stop] write to wake the loop *)
   stop_flag : bool Atomic.t;
-  conn_count : int Atomic.t;  (** open connections across all loops *)
-  inflight : int Atomic.t;  (** admitted-but-unfinished jobs, all loops *)
-  queued_frames : int array;
-      (** per-loop count of frames waiting in output queues; each slot is
-          written only by its loop, summed for the gauge *)
   reg : Metrics.registry;
   m_accepts : Metrics.counter;
   m_requests : Metrics.counter;
@@ -127,7 +112,7 @@ type t = {
   torn_bytes : int;
   dup_entries : int;  (** log entries dropped as duplicates at preload *)
   skipped_entries : int;  (** log records without a stable digest *)
-  mutable loop_domains : unit Domain.t list;
+  mutable loop : unit Domain.t option;
 }
 
 let port t = t.srv_port
@@ -139,11 +124,9 @@ let skipped_entries t = t.skipped_entries
 
 (* a full pipe already guarantees a wakeup; a closed one means the
    loop is gone — both are fine to ignore *)
-let wake_loop t i =
-  try ignore (Unix.write (snd t.pipes.(i)) (Bytes.make 1 '!') 0 1)
+let wake t =
+  try ignore (Unix.write (snd t.pipe) (Bytes.make 1 '!') 0 1)
   with Unix.Unix_error _ -> ()
-
-let wake t = Array.iteri (fun i _ -> wake_loop t i) t.pipes
 
 (* -- the loop -------------------------------------------------------- *)
 
@@ -191,9 +174,11 @@ let find_attack id = All.find id
 let find_config name =
   List.find_opt (fun (c : Config.t) -> c.Config.name = name) Config.all
 
-let serve t i =
-  let pipe_r = fst t.pipes.(i) in
+let serve t =
+  let pipe_r = fst t.pipe in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 32 in
+  let conn_count = ref 0 in  (* open connections *)
+  let inflight = ref 0 in  (* admitted-but-unfinished jobs *)
   (* futures of connections that died before their reply: still polled,
      so the in-flight gauge cannot leak *)
   let orphans = ref [] in
@@ -211,8 +196,8 @@ let serve t i =
         ~dur_us:(Trace.now_us () -. c.opened_us)
         ~args:[ ("close_reason", Trace.Str reason) ]
         ();
-      ignore (Atomic.fetch_and_add t.conn_count (-1));
-      Metrics.set t.m_open_conns (float_of_int (Atomic.get t.conn_count))
+      decr conn_count;
+      Metrics.set t.m_open_conns (float_of_int !conn_count)
     end
   in
   let shed c corr =
@@ -240,7 +225,7 @@ let serve t i =
              er_message = Fmt.str "unknown config %S" rq.Frame.rq_config;
            })
     | Some attack, Some config ->
-      if Atomic.get t.inflight >= t.cfg.max_inflight then
+      if !inflight >= t.cfg.max_inflight then
         shed c rq.Frame.rq_corr
       else begin
         (* the request deadline is honored but capped: a client cannot
@@ -269,11 +254,11 @@ let serve t i =
            to this job starts inside [try_submit], and the request span
            must enclose it *)
         let p_t0 = Clock.now_ns () in
-        match Service.try_submit ~notify:(fun () -> wake_loop t i) t.svc job with
+        match Service.try_submit ~notify:(fun () -> wake t) t.svc job with
         | None -> shed c rq.Frame.rq_corr
         | Some fut ->
-          ignore (Atomic.fetch_and_add t.inflight 1);
-          Metrics.set t.m_inflight (float_of_int (Atomic.get t.inflight));
+          incr inflight;
+          Metrics.set t.m_inflight (float_of_int !inflight);
           c.pending <-
             { p_corr = rq.Frame.rq_corr; p_future = fut; p_t0; p_trace }
             :: c.pending
@@ -324,8 +309,8 @@ let serve t i =
         match Pool.peek p.p_future with
         | None -> still := p :: !still
         | Some r ->
-          ignore (Atomic.fetch_and_add t.inflight (-1));
-          Metrics.set t.m_inflight (float_of_int (Atomic.get t.inflight));
+          decr inflight;
+          Metrics.set t.m_inflight (float_of_int !inflight);
           let dur_us = Clock.elapsed_us ~a:p.p_t0 ~b:(Clock.now_ns ()) in
           (* the server-side request span, closed at reply time: queue
              wait + execution + the loop's own polling latency *)
@@ -402,23 +387,21 @@ let serve t i =
             close_reason = "eof";
             opened_us = Trace.now_us ();
           };
-        ignore (Atomic.fetch_and_add t.conn_count 1);
-        Metrics.set t.m_open_conns (float_of_int (Atomic.get t.conn_count));
-        if Atomic.get t.conn_count >= t.cfg.max_conns then continue := false
+        incr conn_count;
+        Metrics.set t.m_open_conns (float_of_int !conn_count);
+        if !conn_count >= t.cfg.max_conns then continue := false
       | exception
           Unix.Unix_error
             ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
         ->
-        (* EAGAIN includes losing the accept race to a sibling loop —
-           the listener is shared, whoever wins owns the connection *)
         continue := false
       | exception
           Unix.Unix_error
             ((Unix.EBADF | Unix.EINVAL | Unix.ENOTSOCK | Unix.EMFILE | Unix.ENFILE), _, _)
         ->
-        (* EBADF/EINVAL/ENOTSOCK: the listener was closed (drain) and
-           possibly reused under us; EMFILE/ENFILE: out of descriptors —
-           back off, existing connections still progress *)
+        (* EBADF/EINVAL/ENOTSOCK: the listener was closed (drain);
+           EMFILE/ENFILE: out of descriptors — back off, existing
+           connections still progress *)
         continue := false
     done
   in
@@ -454,10 +437,7 @@ let serve t i =
     if Atomic.get t.stop_flag && !drain_deadline = None then begin
       accepting := false;
       Metrics.set t.m_draining 1.;
-      (* one loop closes the shared listener; the others just stop
-         selecting on it *)
-      if Atomic.compare_and_set t.lsock_closed false true then
-        (try Unix.close t.lsock with Unix.Unix_error _ -> ());
+      (try Unix.close t.lsock with Unix.Unix_error _ -> ());
       drain_deadline :=
         Some (Unix.gettimeofday () +. t.cfg.drain_timeout_s);
       (* no new requests from open connections either *)
@@ -483,12 +463,9 @@ let serve t i =
     (* completions and flushes *)
     Hashtbl.iter (fun _ c -> if c.pending <> [] then poll_pending c) conns;
     Hashtbl.iter (fun _ c -> if not (Queue.is_empty c.out) then flush_out c) conns;
-    (* this loop's slot, then the gauge over all slots — each slot has a
-       single writer, so the sum is at worst one tick stale *)
-    t.queued_frames.(i) <-
-      Hashtbl.fold (fun _ c acc -> acc + Queue.length c.out) conns 0;
     Metrics.set t.m_queued_replies
-      (float_of_int (Array.fold_left ( + ) 0 t.queued_frames));
+      (float_of_int
+         (Hashtbl.fold (fun _ c acc -> acc + Queue.length c.out) conns 0));
     let finished =
       Hashtbl.fold
         (fun _ c acc ->
@@ -503,29 +480,26 @@ let serve t i =
           match Pool.peek fut with
           | None -> true
           | Some _ ->
-            ignore (Atomic.fetch_and_add t.inflight (-1));
-            Metrics.set t.m_inflight (float_of_int (Atomic.get t.inflight));
+            decr inflight;
+            Metrics.set t.m_inflight (float_of_int !inflight);
             false)
         !orphans;
-    (* drain exit waits on the *global* in-flight count: sibling loops
-       quiesce together, so no worker ever fulfils into a dead pool *)
+    (* drain exit waits until no admitted job is unfinished, so no worker
+       ever fulfils into a dead loop *)
     (match !drain_deadline with
-    | Some d
-      when Hashtbl.length conns = 0 && !orphans = []
-           && Atomic.get t.inflight = 0 ->
-      ignore d;
+    | Some _ when Hashtbl.length conns = 0 && !orphans = [] && !inflight = 0 ->
       running := false
     | Some d when Unix.gettimeofday () > d ->
       (* deadline passed: force-close stragglers, but keep the loop until
          orphaned jobs finish *)
       Hashtbl.fold (fun _ c acc -> c :: acc) conns []
       |> List.iter (fun c -> close_conn c "drain-forced");
-      if !orphans = [] && Atomic.get t.inflight = 0 then running := false
+      if !orphans = [] && !inflight = 0 then running := false
     | _ -> ());
     if !running then begin
       let rds =
         pipe_r
-        :: (if !accepting && Atomic.get t.conn_count < t.cfg.max_conns then
+        :: (if !accepting && !conn_count < t.cfg.max_conns then
               [ t.lsock ]
             else [])
         @ Hashtbl.fold
@@ -556,9 +530,9 @@ let serve t i =
           wready
     end
   done;
-  (* loop exit: everything this loop owned is closed and accounted *)
+  (* loop exit: everything the loop owned is closed and accounted *)
   (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close (snd t.pipes.(i)) with Unix.Unix_error _ -> ())
+  (try Unix.close (snd t.pipe) with Unix.Unix_error _ -> ())
 
 (* -- lifecycle ------------------------------------------------------- *)
 
@@ -577,14 +551,9 @@ let start ?(config = default_config) svc =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> config.port
   in
-  let loops = max 1 config.loops in
-  let pipes =
-    Array.init loops (fun _ ->
-        let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-        Unix.set_nonblock pipe_r;
-        Unix.set_nonblock pipe_w;
-        (pipe_r, pipe_w))
-  in
+  let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock pipe_r;
+  Unix.set_nonblock pipe_w;
   let log, recovered, torn_bytes, dup_entries, skipped_entries =
     match config.memo_log with
     | None -> (None, 0, 0, 0, 0)
@@ -618,13 +587,9 @@ let start ?(config = default_config) svc =
       cfg = config;
       svc;
       lsock;
-      lsock_closed = Atomic.make false;
       srv_port;
-      pipes;
+      pipe = (pipe_r, pipe_w);
       stop_flag = Atomic.make false;
-      conn_count = Atomic.make 0;
-      inflight = Atomic.make 0;
-      queued_frames = Array.make loops 0;
       reg;
       m_accepts = Metrics.counter reg "pna_net_accepts_total";
       m_requests = Metrics.counter reg "pna_net_requests_total";
@@ -641,18 +606,17 @@ let start ?(config = default_config) svc =
       torn_bytes;
       dup_entries;
       skipped_entries;
-      loop_domains = [];
+      loop = None;
     }
   in
-  t.loop_domains <-
-    List.init loops (fun i -> Domain.spawn (fun () -> serve t i));
+  t.loop <- Some (Domain.spawn (fun () -> serve t));
   t
 
 let stop t =
   Atomic.set t.stop_flag true;
   wake t;
-  List.iter Domain.join t.loop_domains;
-  t.loop_domains <- [];
+  Option.iter Domain.join t.loop;
+  t.loop <- None;
   (match t.log with
   | Some log ->
     Service.set_memo_sink t.svc None;

@@ -1,15 +1,13 @@
 (** The crash-safe TCP front end for the {!Pna_service.Service} pool.
 
-    One or more select loops ([config.loops]), each in its own domain
-    and sharing the listener (accept-fanout: whichever loop wins the
-    accept owns the connection for its whole life), speak the {!Frame}
-    protocol: requests are admitted under an in-flight cap (excess is
-    answered
-    with [Reply_shed] + retry-after, never queued without bound),
-    malformed frames are answered with a classified [Reply_error] and a
-    connection close (never a crash or a hang — an idle timeout reaps
-    half-sent frames), and {!stop} drains gracefully: in-flight jobs
-    finish and replies flush before sockets close.
+    One select loop in its own domain owns the listener and every
+    connection and speaks the {!Frame} protocol: requests are admitted
+    under an in-flight cap (excess is answered with [Reply_shed] +
+    retry-after, never queued without bound), malformed frames are
+    answered with a classified [Reply_error] and a connection close
+    (never a crash or a hang — an idle timeout reaps half-sent frames),
+    and {!stop} drains gracefully: in-flight jobs finish and replies
+    flush before sockets close.
 
     With [memo_log] set, the service's memo cache is persisted through
     {!Memolog}: recovered entries are preloaded at {!start} and fresh
@@ -19,12 +17,8 @@
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  loops : int;
-      (** select-loop domains sharing the listener (default 1); each
-          connection is owned by exactly one loop for its whole life,
-          so per-connection state never crosses domains *)
-  max_inflight : int;  (** admitted-but-unfinished request cap, global *)
-  max_conns : int;  (** open-connection cap, global across loops *)
+  max_inflight : int;  (** admitted-but-unfinished request cap *)
+  max_conns : int;  (** open-connection cap *)
   idle_timeout_s : float;
   drain_timeout_s : float;  (** graceful-stop budget *)
   max_steps_cap : int;  (** ceiling clamped onto every request deadline *)
@@ -37,7 +31,7 @@ val default_config : config
 type t
 
 val start : ?config:config -> Pna_service.Service.t -> t
-(** Bind, recover the memo log (if configured), spawn the loop domains.
+(** Bind, recover the memo log (if configured), spawn the loop domain.
     The service outlives the server: {!stop} does not shut the pool
     down. *)
 
@@ -75,6 +69,6 @@ val skipped_entries : t -> int
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight work and output
-    up to [drain_timeout_s], join the loop domains, close the memo log.
-    Idempotent in effect; safe to call once the loops have already
+    up to [drain_timeout_s], join the loop domain, close the memo log.
+    Idempotent in effect; safe to call once the loop has already
     exited. *)

@@ -1,22 +1,18 @@
-(** A fixed-size pool of OCaml 5 domains draining per-worker job queues
-    with work stealing.
+(** A fixed-size pool of OCaml 5 domains draining one bounded FIFO.
 
-    The original pool funneled every submit, every task take and every
-    idle wait through one mutex + condition pair — at four domains the
-    workers spent more time rendezvousing on that lock than executing
-    (the dispatch path serialised exactly the work the pool exists to
-    parallelise). Here each worker owns a private queue; submissions are
-    placed round-robin, a worker drains its own queue first and steals
-    from its siblings when empty, and the shared mutex is touched only to
-    park/unpark (empty pool) and for shutdown. The hot dispatch path is
-    one per-deque lock plus one atomic counter update.
+    Every submit, take and idle wait goes through one mutex with two
+    conditions: workers park on [not_empty], submitters at the cap park
+    on [not_full]. The lock is held only to move a task in or out of the
+    queue, never while a task runs. One lock suffices: the 4-domain
+    anti-scaling once blamed on it was minor-GC barriers (see
+    [minor_words]), not the queue.
 
-    The total queued count is still the backpressure mechanism: [submit]
-    blocks once [queue_cap] jobs are waiting across all deques, so a fast
-    producer cannot outrun the workers by an unbounded margin. Each
-    worker owns a private context built by [mk_ctx] *inside* its own
-    domain — the service layer keeps its per-worker machine caches there,
-    so no simulated machine is ever touched by two domains. *)
+    The queue bound is the backpressure mechanism: [submit] blocks once
+    [queue_cap] jobs are waiting, so a fast producer cannot outrun the
+    workers by an unbounded margin. Each worker owns a private context
+    built by [mk_ctx] *inside* its own domain — the service layer keeps
+    its per-worker machine caches there, so no simulated machine is ever
+    touched by two domains. *)
 
 type 'a state = Pending | Done of 'a | Failed of exn
 
@@ -54,28 +50,13 @@ let peek fut =
   Mutex.unlock fut.f_mutex;
   match st with Pending -> None | Done v -> Some (Ok v) | Failed e -> Some (Error e)
 
-(* One worker's queue. A mutex per deque, never held while running a
-   task: contention on any one lock is owner + occasional thief, not
-   every domain in the pool. FIFO within a deque keeps batch order
-   roughly arrival order, which the latency histograms prefer. *)
-type 'ctx deque = {
-  d_mutex : Mutex.t;
-  d_q : ('ctx -> unit) Queue.t;
-}
-
 type 'ctx t = {
   jobs : int;
   queue_cap : int;
-  deques : 'ctx deque array;  (** one per worker, index = worker id *)
-  rr : int Atomic.t;  (** round-robin placement cursor for submissions *)
-  queued : int Atomic.t;  (** tasks pushed but not yet taken, all deques *)
-  submit_waiters : int Atomic.t;
-      (** submitters blocked on [not_full]; workers consult it after
-          decrementing [queued] so the common take never locks [mutex] *)
-  mutex : Mutex.t;  (** parking, admission waits, [closing]; cold paths *)
-  not_empty : Condition.t;  (** workers park here when the pool is empty *)
+  q : ('ctx -> unit) Queue.t;  (** FIFO: batch order is arrival order *)
+  mutex : Mutex.t;  (** guards [q] and [closing] *)
+  not_empty : Condition.t;  (** workers park here when [q] is empty *)
   not_full : Condition.t;  (** submitters park here at the cap *)
-  mutable sleepers : int;  (** workers parked on [not_empty]; under [mutex] *)
   mutable closing : bool;
   mutable workers : unit Domain.t array;
 }
@@ -96,81 +77,29 @@ let clamp_jobs n = max 1 (min n (max 4 (Domain.recommended_domain_count ())))
    resizes the calling domain, so this must run in the worker body. *)
 let minor_words = 4 * 1024 * 1024
 
-(* Take from one deque; on success [queued] is decremented inside the
-   critical section, so "closing and [queued] = 0" reliably means every
-   task is either finished or held by a running worker. *)
-let take_from pool dq =
-  Mutex.lock dq.d_mutex;
-  let task = Queue.take_opt dq.d_q in
-  (match task with
-  | Some _ -> ignore (Atomic.fetch_and_add pool.queued (-1))
-  | None -> ());
-  Mutex.unlock dq.d_mutex;
+(* The next task, or [None] once the pool is closing and [q] is drained:
+   queued work always runs before a worker exits. *)
+let take pool =
+  Mutex.lock pool.mutex;
+  while Queue.is_empty pool.q && not pool.closing do
+    Condition.wait pool.not_empty pool.mutex
+  done;
+  let task = Queue.take_opt pool.q in
+  if Option.is_some task then Condition.signal pool.not_full;
+  Mutex.unlock pool.mutex;
   task
 
-(* A submitter parked at the cap advertises itself in [submit_waiters]
-   (incremented *before* it re-reads [queued]); the taker decrements
-   [queued] before reading [submit_waiters]. Sequential consistency of
-   the two atomics means at least one side sees the other, so the wakeup
-   cannot be lost — and the wake only costs a mutex when someone is
-   actually parked. *)
-let wake_submitters pool =
-  if Atomic.get pool.submit_waiters > 0 then begin
-    Mutex.lock pool.mutex;
-    Condition.broadcast pool.not_full;
-    Mutex.unlock pool.mutex
-  end
-
-(* Own deque first; steal a task from a sibling otherwise. The scan
-   starts at [i + 1] so thieves spread over victims instead of mobbing
-   worker 0. *)
-let try_take pool i =
-  match take_from pool pool.deques.(i) with
-  | Some _ as t ->
-    wake_submitters pool;
-    t
-  | None ->
-    if Atomic.get pool.queued = 0 then None
-    else begin
-      let n = Array.length pool.deques in
-      let found = ref None in
-      let k = ref 1 in
-      while !found = None && !k < n do
-        found := take_from pool pool.deques.((i + !k) mod n);
-        incr k
-      done;
-      if !found <> None then wake_submitters pool;
-      !found
-    end
-
-let worker pool mk_ctx i () =
+let worker pool mk_ctx () =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < minor_words then
     Gc.set { g with Gc.minor_heap_size = minor_words };
   let ctx = mk_ctx () in
   let rec loop () =
-    match try_take pool i with
+    match take pool with
     | Some task ->
       task ctx;
       loop ()
-    | None ->
-      (* Nothing anywhere: park, unless draining is complete. The empty
-         re-check runs under [mutex], and submitters publish (bump
-         [queued], push, signal) under the same mutex — a worker
-         committing to sleep cannot miss a concurrent submission. *)
-      Mutex.lock pool.mutex;
-      if Atomic.get pool.queued > 0 then begin
-        Mutex.unlock pool.mutex;
-        loop ()
-      end
-      else if pool.closing then Mutex.unlock pool.mutex  (* drain complete *)
-      else begin
-        pool.sleepers <- pool.sleepers + 1;
-        Condition.wait pool.not_empty pool.mutex;
-        pool.sleepers <- pool.sleepers - 1;
-        Mutex.unlock pool.mutex;
-        loop ()
-      end
+    | None -> ()
   in
   loop ()
 
@@ -181,22 +110,15 @@ let create ?(queue_cap = 64) ~jobs ~mk_ctx () =
     {
       jobs;
       queue_cap;
-      deques =
-        Array.init jobs (fun _ ->
-            { d_mutex = Mutex.create (); d_q = Queue.create () });
-      rr = Atomic.make 0;
-      queued = Atomic.make 0;
-      submit_waiters = Atomic.make 0;
+      q = Queue.create ();
       mutex = Mutex.create ();
       not_empty = Condition.create ();
       not_full = Condition.create ();
-      sleepers = 0;
       closing = false;
       workers = [||];
     }
   in
-  pool.workers <-
-    Array.init jobs (fun i -> Domain.spawn (worker pool mk_ctx i));
+  pool.workers <- Array.init jobs (fun _ -> Domain.spawn (worker pool mk_ctx));
   pool
 
 let jobs t = t.jobs
@@ -213,32 +135,22 @@ let mk_task ?notify f fut ctx =
   | None -> ()
   | Some g -> ( try g () with _ -> ())
 
-(* Place a task round-robin. Called with [t.mutex] held: admission,
-   the [closing] check, the push and the sleeper wake form one atomic
-   step against [shutdown], so an admitted task is always seen by the
-   drain loop (lock order: [t.mutex] then [d_mutex], never reversed). *)
+let mk_future () =
+  { f_mutex = Mutex.create (); f_cond = Condition.create (); f_state = Pending }
+
+(* Called with [t.mutex] held: the [closing] check and the push form one
+   step against [shutdown], so an admitted task is always drained. *)
 let push_locked t task =
-  let i = Atomic.fetch_and_add t.rr 1 in
-  let dq = t.deques.(i mod Array.length t.deques) in
-  Atomic.incr t.queued;
-  Mutex.lock dq.d_mutex;
-  Queue.add task dq.d_q;
-  Mutex.unlock dq.d_mutex;
-  if t.sleepers > 0 then Condition.signal t.not_empty
+  Queue.add task t.q;
+  Condition.signal t.not_empty
 
 let submit ?notify t f =
-  let fut = { f_mutex = Mutex.create (); f_cond = Condition.create (); f_state = Pending } in
+  let fut = mk_future () in
   let task = mk_task ?notify f fut in
   Mutex.lock t.mutex;
-  if t.closing then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Atomic.incr t.submit_waiters;
-  while Atomic.get t.queued >= t.queue_cap && not t.closing do
+  while Queue.length t.q >= t.queue_cap && not t.closing do
     Condition.wait t.not_full t.mutex
   done;
-  Atomic.decr t.submit_waiters;
   if t.closing then begin
     Mutex.unlock t.mutex;
     invalid_arg "Pool.submit: pool is shut down"
@@ -251,10 +163,10 @@ let submit ?notify t f =
    closing, instead of stalling the caller. A server's accept loop must
    never block on its own backpressure — it sheds instead. *)
 let try_submit ?notify t f =
-  let fut = { f_mutex = Mutex.create (); f_cond = Condition.create (); f_state = Pending } in
+  let fut = mk_future () in
   let task = mk_task ?notify f fut in
   Mutex.lock t.mutex;
-  if t.closing || Atomic.get t.queued >= t.queue_cap then begin
+  if t.closing || Queue.length t.q >= t.queue_cap then begin
     Mutex.unlock t.mutex;
     None
   end

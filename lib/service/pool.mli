@@ -1,14 +1,11 @@
-(** A fixed-size pool of OCaml 5 domains draining per-worker job queues
-    with work stealing.
+(** A fixed-size pool of OCaml 5 domains draining one bounded FIFO.
 
-    Submissions are placed round-robin across per-worker queues; a worker
-    drains its own queue first and steals from its siblings when empty,
-    so the hot dispatch path touches one per-queue lock instead of
-    rendezvousing every domain on a shared one. The total queued count is
-    still bounded: {!submit} blocks once [queue_cap] jobs are waiting
-    across all queues. Each worker owns a private context built by
-    [mk_ctx] inside its own domain — per-worker caches live there, so no
-    state is shared between domains without a lock. *)
+    One mutex guards the queue; workers park on one condition when it is
+    empty and submitters on another when it is full. The lock is held
+    only to move a task in or out, never while a task runs. {!submit}
+    blocks once [queue_cap] jobs are waiting. Each worker owns a private
+    context built by [mk_ctx] inside its own domain — per-worker caches
+    live there, so no state is shared between domains without a lock. *)
 
 type 'ctx t
 
@@ -25,13 +22,12 @@ val create :
   mk_ctx:(unit -> 'ctx) ->
   unit ->
   'ctx t
-(** Spawn [clamp_jobs jobs] worker domains, each owning one queue.
-    [queue_cap] (default 64) bounds the total number of
-    queued-but-unstarted jobs across all queues. Each worker grows its
-    domain-local minor heap to 4M words before taking work: minor
-    collections are stop-the-world across all domains, and the runtime
-    default period makes an allocation-heavy pool spend more time at GC
-    barriers than executing.
+(** Spawn [clamp_jobs jobs] worker domains over one queue. [queue_cap]
+    (default 64) bounds the number of queued-but-unstarted jobs. Each
+    worker grows its domain-local minor heap to 4M words before taking
+    work: minor collections are stop-the-world across all domains, and
+    the runtime default period makes an allocation-heavy pool spend more
+    time at GC barriers than executing.
     @raise Invalid_argument on a non-positive [queue_cap]. *)
 
 val jobs : 'ctx t -> int
@@ -57,4 +53,5 @@ val peek : 'a future -> ('a, exn) result option
 (** Non-blocking: [None] while the job is pending. *)
 
 val shutdown : 'ctx t -> unit
-(** Stop accepting work, drain the queue, join the worker domains. *)
+(** Stop accepting work, drain the queue, join the worker domains.
+    Submitters parked at the cap wake and raise [Invalid_argument]. *)

@@ -239,80 +239,64 @@ let request_digest ~input ~max_steps =
     (Int64.of_int (Option.value max_steps ~default:Driver.default_budget));
   digest63 (Bytes.unsafe_to_string b)
 
-(* The memo cache, sharded by key hash with one lock per shard so
-   concurrent lookups from different workers almost never contend (the
-   old design funneled every lookup and store through one global
-   mutex).
-
-   Each shard is a bounded LRU: entries carry a last-use generation and
-   the order queue holds (key, generation) stamps. A hit re-stamps the
-   entry and enqueues a fresh stamp; eviction pops stamps from the front
-   and only trusts one that still matches its entry — stale stamps (the
-   entry was used again later) are discarded. This keeps hits O(1) with
-   no list splicing, at the cost of lazy deletion in the queue, which
-   [compact_order] bounds. *)
-let memo_shard_count = 16  (* power of two: shard = hash land (n-1) *)
-
-type memo_shard = {
-  ms_mutex : Mutex.t;
-  ms_tbl : (memo_key, reply * int ref) Hashtbl.t;  (* reply + last-use gen *)
-  ms_order : (memo_key * int) Queue.t;  (* (key, gen at stamp time) *)
-  mutable ms_gen : int;
-}
-
+(* The memo cache: one bounded LRU behind one lock. Entries carry a
+   last-use generation and the order queue holds (key, generation)
+   stamps. A hit re-stamps the entry and enqueues a fresh stamp;
+   eviction pops stamps from the front and only trusts one that still
+   matches its entry — stale stamps (the entry was used again later) are
+   discarded. This keeps hits O(1) with no list splicing, at the cost of
+   lazy deletion in the queue, which [compact_order] bounds. *)
 type memo = {
-  mc_shards : memo_shard array;
-  mc_cap : int;  (** per-shard entry cap *)
+  mc_mutex : Mutex.t;
+  mc_tbl : (memo_key, reply * int ref) Hashtbl.t;  (* reply + last-use gen *)
+  mc_order : (memo_key * int) Queue.t;  (* (key, gen at stamp time) *)
+  mutable mc_gen : int;
+  mc_cap : int;  (** exact entry cap *)
   mc_evictions : Metrics.counter;  (** [pna_memo_evictions_total] *)
 }
 
 let mk_memo ~cap ~evictions =
   {
-    mc_shards =
-      Array.init memo_shard_count (fun _ ->
-          {
-            ms_mutex = Mutex.create ();
-            ms_tbl = Hashtbl.create 32;
-            ms_order = Queue.create ();
-            ms_gen = 0;
-          });
-    mc_cap = max 1 (cap / memo_shard_count);
+    mc_mutex = Mutex.create ();
+    mc_tbl = Hashtbl.create 32;
+    mc_order = Queue.create ();
+    mc_gen = 0;
+    mc_cap = cap;
     mc_evictions = evictions;
   }
 
-let memo_shard_of key = Hashtbl.hash key land (memo_shard_count - 1)
-
-let stamp ms key genref =
-  ms.ms_gen <- ms.ms_gen + 1;
-  genref := ms.ms_gen;
-  Queue.add (key, ms.ms_gen) ms.ms_order
+let stamp mc key genref =
+  mc.mc_gen <- mc.mc_gen + 1;
+  genref := mc.mc_gen;
+  Queue.add (key, mc.mc_gen) mc.mc_order
 
 (* Drop stale stamps so the order queue stays proportional to the table.
    A fresh head is re-stamped to the back — a bounded pass, since at most
    [cap] live entries can be fresh. *)
-let compact_order ms ~cap =
-  if Queue.length ms.ms_order > 4 * cap then begin
-    let budget = ref (Queue.length ms.ms_order) in
-    while Queue.length ms.ms_order > 2 * cap && !budget > 0 do
+let compact_order mc =
+  let cap = mc.mc_cap in
+  if Queue.length mc.mc_order > 4 * cap then begin
+    let budget = ref (Queue.length mc.mc_order) in
+    while Queue.length mc.mc_order > 2 * cap && !budget > 0 do
       decr budget;
-      match Queue.take_opt ms.ms_order with
+      match Queue.take_opt mc.mc_order with
       | None -> budget := 0
       | Some (k, g) -> (
-        match Hashtbl.find_opt ms.ms_tbl k with
-        | Some (_, gr) when !gr = g -> stamp ms k gr
+        match Hashtbl.find_opt mc.mc_tbl k with
+        | Some (_, gr) when !gr = g -> stamp mc k gr
         | _ -> ())
     done
   end
 
-let evict_lru mc ms =
+let evict_lru mc =
   let give_up = ref false in
-  while Hashtbl.length ms.ms_tbl > mc.mc_cap && not !give_up do
-    match Queue.take_opt ms.ms_order with
+  while Hashtbl.length mc.mc_tbl > mc.mc_cap && not !give_up do
+    match Queue.take_opt mc.mc_order with
     | None -> give_up := true  (* unreachable: every entry has a stamp *)
     | Some (k, g) -> (
-      match Hashtbl.find_opt ms.ms_tbl k with
+      match Hashtbl.find_opt mc.mc_tbl k with
       | Some (_, gr) when !gr = g ->
-        Hashtbl.remove ms.ms_tbl k;
+        Hashtbl.remove mc.mc_tbl k;
         Metrics.incr mc.mc_evictions
       | _ -> ())
   done
@@ -574,17 +558,16 @@ let memo_find t key =
   match t.memo with
   | None -> None
   | Some mc ->
-    let ms = mc.mc_shards.(memo_shard_of key) in
-    Mutex.lock ms.ms_mutex;
+    Mutex.lock mc.mc_mutex;
     let r =
-      match Hashtbl.find_opt ms.ms_tbl key with
+      match Hashtbl.find_opt mc.mc_tbl key with
       | None -> None
       | Some (reply, genref) ->
-        stamp ms key genref;
-        compact_order ms ~cap:mc.mc_cap;
+        stamp mc key genref;
+        compact_order mc;
         Some reply
     in
-    Mutex.unlock ms.ms_mutex;
+    Mutex.unlock mc.mc_mutex;
     r
 
 (* [true] iff the entry is new — the caller mirrors fresh entries to the
@@ -593,19 +576,18 @@ let memo_store t key reply =
   match t.memo with
   | None -> false
   | Some mc ->
-    let ms = mc.mc_shards.(memo_shard_of key) in
-    Mutex.lock ms.ms_mutex;
+    Mutex.lock mc.mc_mutex;
     let added =
-      if Hashtbl.mem ms.ms_tbl key then false
+      if Hashtbl.mem mc.mc_tbl key then false
       else begin
         let genref = ref 0 in
-        Hashtbl.add ms.ms_tbl key (reply, genref);
-        stamp ms key genref;
-        evict_lru mc ms;
+        Hashtbl.add mc.mc_tbl key (reply, genref);
+        stamp mc key genref;
+        evict_lru mc;
         true
       end
     in
-    Mutex.unlock ms.ms_mutex;
+    Mutex.unlock mc.mc_mutex;
     added
 
 

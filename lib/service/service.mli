@@ -114,10 +114,10 @@ val create :
 (** [jobs] defaults to [Domain.recommended_domain_count] and is clamped by
     {!Pool.clamp_jobs}; the job queue holds {!Pool.create}'s default
     of 64 (backpressure); [memo] (default true) enables the result
-    cache; [memo_cap] (default 65536) bounds total memo entries — each
-    of the 16 shards holds an LRU of [memo_cap/16], so multi-hour soaks
-    cannot grow memory without limit; [prepared_cap] (default 16) bounds
-    each worker's prepared-machine cache. *)
+    cache; [memo_cap] (default 65536) is the exact memo entry bound — one
+    LRU behind one lock evicts the least recently used entry past it, so
+    multi-hour soaks cannot grow memory without limit; [prepared_cap]
+    (default 16) bounds each worker's prepared-machine cache. *)
 
 val jobs : t -> int
 (** Effective worker count. *)

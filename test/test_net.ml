@@ -424,13 +424,11 @@ let test_server_lifecycle () =
       (Client.ping c 100 = Ok ());
     Client.close c
 
-(* Accept-fanout: several select loops share one listener. Connections
-   land on whichever loop wins the accept, every one must serve, and a
-   graceful stop must drain all loops (the shared listener is closed
-   exactly once). *)
-let test_sharded_accept () =
-  let config = { Server.default_config with loops = 3 } in
-  with_server ~config @@ fun server ->
+(* Six connections open at once on the one select loop: every one must
+   serve and answer pings, and the graceful stop in [with_server] must
+   drain them all. *)
+let test_six_connections () =
+  with_server @@ fun server ->
   let port = Server.port server in
   let clients =
     List.init 6 (fun i ->
@@ -802,8 +800,8 @@ let suite =
         test_memolog_corrupt_middle;
       Alcotest.test_case "memolog compaction" `Quick test_memolog_compact;
       Alcotest.test_case "server lifecycle" `Quick test_server_lifecycle;
-      Alcotest.test_case "sharded accept-fanout serves and drains" `Quick
-        test_sharded_accept;
+      Alcotest.test_case "six concurrent connections serve and drain" `Quick
+        test_six_connections;
       Alcotest.test_case "malformed frames rejected, server survives" `Quick
         test_server_rejects_malformed;
       Alcotest.test_case "memo-log recovery across restarts" `Quick

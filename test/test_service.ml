@@ -228,6 +228,88 @@ let test_pool_rejects_after_shutdown () =
   | _ -> Alcotest.fail "submit after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
+(* Poll [cond] for up to [secs]: a lost wake-up leaves a domain parked
+   for ever, and the watchdog turns that into a failed check instead of
+   a hung suite. *)
+let wait_until ?(secs = 20.) cond =
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+(* With a one-slot queue, 8 submitters spend most of their time parked
+   on [not_full]: every take must wake one, and [shutdown] must wake
+   them all. *)
+let test_pool_parked_submitters () =
+  let pool = Pool.create ~jobs:4 ~queue_cap:1 ~mk_ctx:(fun () -> ()) () in
+  (* a stuck pool is released on the failure path so no domain outlives
+     the test *)
+  let abandon msg =
+    ignore (Domain.spawn (fun () -> Pool.shutdown pool));
+    Alcotest.fail msg
+  in
+  let runs = Array.init (8 * 50) (fun _ -> Atomic.make 0) in
+  let finished = Atomic.make 0 in
+  let submitters =
+    List.init 8 (fun d ->
+        Domain.spawn (fun () ->
+            List.init 50 (fun k ->
+                Pool.submit pool (fun () -> Atomic.incr runs.((d * 50) + k)))
+            |> List.iter Pool.await;
+            Atomic.incr finished))
+  in
+  if not (wait_until (fun () -> Atomic.get finished = 8)) then
+    abandon "parked submitters never woke: lost wake-up";
+  List.iter Domain.join submitters;
+  Alcotest.(check bool) "every job ran exactly once" true
+    (Array.for_all (fun r -> Atomic.get r = 1) runs);
+  (* hold all 4 workers and fill the slot, so the next submitters park *)
+  let gate = Atomic.make false in
+  let started = Atomic.make 0 in
+  let held =
+    List.init 4 (fun _ ->
+        Pool.submit pool (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get gate) do
+              Unix.sleepf 0.001
+            done))
+  in
+  if not (wait_until (fun () -> Atomic.get started = 4)) then begin
+    Atomic.set gate true;
+    abandon "workers never took the held jobs"
+  end;
+  let queued = Pool.submit pool (fun () -> ()) in
+  let entered = Atomic.make 0 and rejected = Atomic.make 0 in
+  let parked =
+    List.init 8 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr entered;
+            match Pool.submit pool (fun () -> ()) with
+            | _ -> ()
+            | exception Invalid_argument _ -> Atomic.incr rejected))
+  in
+  ignore (wait_until (fun () -> Atomic.get entered = 8));
+  Unix.sleepf 0.05;
+  let closed = Atomic.make false in
+  let closer =
+    Domain.spawn (fun () ->
+        Pool.shutdown pool;
+        Atomic.set closed true)
+  in
+  let all_rejected = wait_until (fun () -> Atomic.get rejected = 8) in
+  Atomic.set gate true;
+  if not all_rejected then
+    Alcotest.fail "shutdown left parked submitters asleep";
+  if not (wait_until (fun () -> Atomic.get closed)) then
+    Alcotest.fail "shutdown never joined the workers";
+  Domain.join closer;
+  List.iter Domain.join parked;
+  List.iter Pool.await held;
+  Alcotest.(check bool) "the queued job drained before shutdown returned"
+    true
+    (Pool.peek queued = Some (Ok ()))
+
 (* ------------------------------------------------------------------ *)
 (* Service                                                             *)
 
@@ -299,9 +381,9 @@ let test_memo_hits_repeated_jobs () =
   Alcotest.(check int) "hits never touch the machine" 1
     st.Service.st_snapshot_restores
 
-(* The memo cache is bounded: with a cap of 16 over 16 shards each shard
-   holds one entry, so a spread of distinct keys must evict. An unbounded
-   cache would make multi-day soaks an OOM, so this pins the bound. *)
+(* The memo cache is bounded: 24 distinct keys over a cap of 16 must
+   evict. An unbounded cache would make multi-day soaks an OOM, so this
+   pins the bound. *)
 let test_memo_lru_evicts_at_cap () =
   let svc = Service.create ~jobs:1 ~memo_cap:16 () in
   let job seed =
@@ -319,8 +401,9 @@ let test_memo_lru_evicts_at_cap () =
       count (counter (Service.registry svc) "pna_memo_evictions_total"))
   in
   (* the survivors still serve from memo, evicted keys recompute — and
-     both still answer with the same verdict *)
-  let again = Service.run_batch svc (List.map job seeds) in
+     both still answer with the same verdict. Newest first: replaying the
+     same order would evict each survivor just before its turn. *)
+  let again = Service.run_batch svc (List.map job (List.rev seeds)) in
   let st2 = Service.stats svc in
   Service.shutdown svc;
   Alcotest.(check bool) "cap forces evictions" true (evicted > 0);
@@ -329,6 +412,27 @@ let test_memo_lru_evicts_at_cap () =
     (st2.Service.st_memo_hits > st.Service.st_memo_hits);
   Alcotest.(check bool) "evicted keys recompute, not fail" true
     (List.for_all (fun (r : Service.reply) -> r.Service.r_status <> "") again)
+
+(* [memo_cap] is the exact entry bound: 24 distinct keys over cap 16
+   evict exactly the 8 oldest, and the 16 newest all serve from memo. *)
+let test_memo_exact_cap () =
+  let svc = Service.create ~jobs:1 ~memo_cap:16 () in
+  let job seed =
+    Service.job ~chaos_seed:seed ~max_steps:60_000 ~config:Config.none
+      Pna_attacks.L13_stack_ret.attack
+  in
+  let seeds = List.init 24 (fun i -> i + 1) in
+  let (_ : Service.reply list) = Service.run_batch svc (List.map job seeds) in
+  let st = Service.stats svc in
+  let newest = List.filter (fun s -> s > 8) seeds in
+  let again = Service.run_batch svc (List.map job newest) in
+  let st2 = Service.stats svc in
+  Service.shutdown svc;
+  Alcotest.(check int) "24 keys over cap 16 evict exactly 8" 8
+    st.Service.st_memo_evictions;
+  Alcotest.(check bool) "the 16 newest keys all hit" true
+    (List.for_all (fun (r : Service.reply) -> r.Service.r_cached) again);
+  Alcotest.(check int) "hits evict nothing" 8 st2.Service.st_memo_evictions
 
 let test_try_submit_and_notify () =
   let svc = Service.create ~jobs:1 () in
@@ -687,10 +791,13 @@ let suite =
       t "pool: submit after shutdown rejected" test_pool_rejects_after_shutdown;
       t "batch --jobs 4 == sequential driver (full matrix)"
         test_batch_matches_sequential_driver;
+      t "pool: parked submitters wake on take and on shutdown"
+        test_pool_parked_submitters;
       t "chaos jobs through the pool == direct supervise"
         test_batch_chaos_matches_supervise;
       t "memo cache serves repeats without executing" test_memo_hits_repeated_jobs;
       t "memo LRU evicts at the cap, keeps serving" test_memo_lru_evicts_at_cap;
+      t "memo cap is exact: 24 keys over 16 evict 8" test_memo_exact_cap;
       t "try_submit admits, notifies, rejects after shutdown"
         test_try_submit_and_notify;
       t "memo off still reuses snapshots" test_memo_off_recomputes;
