@@ -128,12 +128,10 @@ let vmem_group () =
 (* ------------------------------------------------------------------ *)
 (* experiment benches                                                   *)
 
-(* attacks that complete in microseconds; the deliberately-slow DoS/OOM
-   runs are benched separately with their own budgets *)
+(* attacks that complete in microseconds; the grinders are benched
+   separately with their own budgets *)
 let fast_attacks =
-  List.filter
-    (fun a -> a.Catalog.id <> "L15-dos" && a.Catalog.id <> "L23-oom")
-    All.attacks
+  List.filter (fun a -> not (List.mem a.Catalog.id All.grinders)) All.attacks
 
 let bench_attack (a : Catalog.t) =
   Test.make ~name:("e1/" ^ a.Catalog.id) (stage (fun () ->

@@ -1,6 +1,6 @@
 (** pna — command-line front end for the placement-new attack study.
 
-    [gate <ID>...|all] runs the experiment gates E1–E20 of
+    [gate <ID>...|all] runs the experiment gates E1–E19 of
     EXPERIMENTS.md from one registry ({!Pna_gen.Gates}): each gate prints
     its report, then a verdict line from the same bool that sets the exit
     status. The other subcommands are tools rather than gates:
@@ -831,7 +831,7 @@ let record_vm_fixture_cmd =
              the committed fixture.")
     Term.(const run $ path_t $ commit_t)
 
-(* ---- gate: the experiment gates E1–E20 ---- *)
+(* ---- gate: the experiment gates E1–E19 ---- *)
 
 module Gates = Pna_gen.Gates
 
@@ -839,7 +839,7 @@ let gate_cmd =
   let ids_t =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID"
            ~doc:"Gates to run, in registry order whatever the order given: \
-                 E1, E2 (covers E3), E4 ... E20, or $(b,all).")
+                 E1, E2 (covers E3), E4 ... E19, or $(b,all).")
   in
   let run ids =
     match Gates.select ids with

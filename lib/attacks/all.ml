@@ -33,6 +33,11 @@ let attacks : Catalog.t list =
     Ser_remote_object.course_count;
   ]
 
+(* The step-budget grinders: correct, but each spends its whole step
+   budget (a loop bound or the allocator) rather than finishing in
+   microseconds, so timing and equivalence harnesses budget them apart. *)
+let grinders = [ "L15-dos"; "L23-oom" ]
+
 (* Dynamically registered scenarios (e.g. a generated fuzz corpus loaded
    at startup). The static catalogue always wins on id collision, so a
    registration can never shadow a paper attack. *)

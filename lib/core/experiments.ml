@@ -1055,7 +1055,7 @@ let pp_e14 ppf r =
     (List.length r.t14_clean)
 
 (* ------------------------------------------------------------------ *)
-(* E15 (extension): the fast-path equivalence + scaling gate             *)
+(* E15 (extension): the fast-path speed + scaling gate                  *)
 
 module Vmem = Pna_vmem.Vmem
 module Segment = Pna_vmem.Segment
@@ -1063,19 +1063,9 @@ module Perm = Pna_vmem.Perm
 
 (* A chaos hook that perturbs nothing: arming it disables every Vmem
    fast path (the gate requires no chaos hook) without changing a single
-   byte, so the same loop can be driven down both paths. *)
+   byte, so the same loop can be driven down both paths. That the two
+   paths observe the same runs is E19's byte-path check. *)
 let byte_path_chaos : Vmem.chaos_hook = fun ~access:_ ~addr:_ ~byte -> byte
-
-type e15_equiv_row = {
-  fq_scenario : string;
-  fq_config : string;
-  fq_same_outcome : bool;  (** status, events, output, steps all equal *)
-  fq_same_verdict : bool;
-  fq_same_accounting : bool;
-      (** per-run deltas of reads/writes/taint-writes/faults equal *)
-}
-
-let e15_equiv_row_ok r = r.fq_same_outcome && r.fq_same_verdict && r.fq_same_accounting
 
 type e15_speed = {
   fs_fast_ns : float;  (** per memory op, u32-heavy loop, fast path *)
@@ -1086,70 +1076,15 @@ type e15_speed = {
 type e15_scale_row = {
   sc_jobs : int;  (** effective worker-domain count *)
   sc_requests : int;
-  sc_seconds : float;
+  sc_passes : float list;  (** wall-clock seconds of each pass *)
+  sc_seconds : float;  (** the best pass *)
 }
 
 type e15_report = {
-  t15_rows : e15_equiv_row list;
   t15_speed : e15_speed;
   t15_scale : e15_scale_row list;
   t15_cores : int;  (** [Domain.recommended_domain_count] on this host *)
 }
-
-(* Fast path vs byte path: every catalogue attack under defenses off and
-   fully on, driven twice from the same prepared image — once plain (fast
-   paths engage wherever an access sits in one segment), once supervised
-   under an empty fault plan, whose identity chaos hook sends every
-   access down the per-byte reference path. The supervisor arms that
-   hook after its rewind; a hook armed before [run_prepared] would be
-   cleared by the rewind and both sides would take the fast path.
-   Outcomes must be structurally identical and the access accounting
-   deltas must match byte for byte. *)
-let e15_equivalence () =
-  List.concat_map
-    (fun (a : Catalog.t) ->
-      List.map
-        (fun (config : Config.t) ->
-          let p = Driver.prepare ~config a in
-          let mem = Machine.mem (Driver.reset p) in
-          let sample () =
-            ( Vmem.total_reads mem,
-              Vmem.total_writes mem,
-              Vmem.total_taint_writes mem,
-              Vmem.total_faults mem )
-          in
-          let delta (r0, w0, t0, f0) (r1, w1, t1, f1) =
-            (r1 - r0, w1 - w0, t1 - t0, f1 - f0)
-          in
-          let with_delta run =
-            let before = sample () in
-            let r = run () in
-            (r, delta before (sample ()))
-          in
-          let (fast_o, fast_v), fast_d =
-            with_delta (fun () ->
-                let r = Driver.run_prepared ~max_steps:e12_budget p in
-                (r.Driver.outcome, r.Driver.verdict))
-          in
-          let (byte_o, byte_v), byte_d =
-            with_delta (fun () ->
-                let s =
-                  Driver.supervise ~config ~max_steps:e12_budget
-                    ~reload:(fun () -> Driver.reset p)
-                    ~plan:(Plan.empty 0) a
-                in
-                (s.Driver.sv_outcome, s.Driver.sv_verdict))
-          in
-          {
-            fq_scenario = a.Catalog.id;
-            fq_config = config.Config.name;
-            fq_same_outcome = fast_o = byte_o;
-            fq_same_verdict =
-              fast_v.Catalog.success = byte_v.Catalog.success;
-            fq_same_accounting = fast_d = byte_d;
-          })
-        [ Config.none; Config.full ])
-    All.attacks
 
 (* The live u32-heavy microbenchmark: the same mixed read/write loop
    timed on the fast path and then with the identity chaos hook forcing the
@@ -1190,19 +1125,24 @@ let e15_speed ?(iters = 400_000) () =
   }
 
 (* Domain scaling over the E12 stream, memoization off so every request
-   is real work. Wall-clock at each worker count; the gate is applied by
-   [e15_ok] relative to what the host can actually parallelize. *)
+   is real work. Each worker count is timed as the best of 3 passes over
+   a stream long enough (4096 requests) that one domain's best pass
+   takes over half a second on a 2-vCPU host, so the speedup is not lost
+   in scheduler noise; the gate is applied by [e15_ok] relative to what
+   the host can actually parallelize. *)
 let e15_scaling ~repeats ~scale () =
   let stream = e12_stream ~repeats in
   List.map
     (fun n ->
       let svc = Service.create ~jobs:n ~memo:false () in
-      let (_ : Service.reply list), secs =
-        Service.timed (fun () -> Service.run_batch svc stream)
+      let passes =
+        List.init 3 (fun _ ->
+            snd (Service.timed (fun () -> Service.run_batch svc stream)))
       in
       let row =
         { sc_jobs = Service.jobs svc; sc_requests = List.length stream;
-          sc_seconds = secs }
+          sc_passes = passes;
+          sc_seconds = List.fold_left Float.min Float.infinity passes }
       in
       Service.shutdown svc;
       row)
@@ -1210,35 +1150,23 @@ let e15_scaling ~repeats ~scale () =
 
 let e15 ?(iters = 400_000) ?(scale = [ 1; 2; 4 ]) () =
   {
-    t15_rows = e15_equivalence ();
     t15_speed = e15_speed ~iters ();
-    t15_scale = e15_scaling ~repeats:16 ~scale ();
+    t15_scale = e15_scaling ~repeats:512 ~scale ();
     t15_cores = Domain.recommended_domain_count ();
   }
 
 let pp_e15 ppf r =
-  Fmt.pf ppf
-    "@[<v>E15 — Vmem fast path equivalent and paying; service scaling@,%s@,"
+  Fmt.pf ppf "@[<v>E15 — Vmem fast path paying; service scaling@,%s@,"
     (String.make 100 '-');
-  List.iter
-    (fun row ->
-      if not (e15_equiv_row_ok row) then
-        Fmt.pf ppf "%-14s %-14s DIVERGES%s%s%s@," row.fq_scenario row.fq_config
-          (if row.fq_same_outcome then "" else "  [outcome]")
-          (if row.fq_same_verdict then "" else "  [verdict]")
-          (if row.fq_same_accounting then "" else "  [accounting]"))
-    r.t15_rows;
   Fmt.pf ppf
-    "fast path == byte path on %d/%d prepared runs (outcome, verdict, access \
-     accounting)@,\
-     u32 loop: fast %.1f ns/op, byte path %.1f ns/op  (%.1fx, gate >= 3)@,"
-    (List.length (List.filter e15_equiv_row_ok r.t15_rows))
-    (List.length r.t15_rows)
+    "u32 loop: fast %.1f ns/op, byte path %.1f ns/op  (%.1fx, gate >= 3)@,"
     r.t15_speed.fs_fast_ns r.t15_speed.fs_byte_ns r.t15_speed.fs_ratio;
   List.iter
     (fun s ->
-      Fmt.pf ppf "scaling: jobs=%d  %4d req in %6.3fs  (%8.0f req/s)@,"
-        s.sc_jobs s.sc_requests s.sc_seconds
+      Fmt.pf ppf
+        "scaling: jobs=%d  %4d req, best of %s s  (%8.0f req/s)@,"
+        s.sc_jobs s.sc_requests
+        (String.concat " / " (List.map (Fmt.str "%.3f") s.sc_passes))
         (if s.sc_seconds > 0. then float_of_int s.sc_requests /. s.sc_seconds
          else Float.infinity))
     r.t15_scale;
@@ -1972,8 +1900,7 @@ let e15_scale_ok ~cores rows =
   | _ -> true
 
 let e15_ok r =
-  List.for_all e15_equiv_row_ok r.t15_rows
-  && r.t15_speed.fs_ratio >= 3.0
+  r.t15_speed.fs_ratio >= 3.0
   && e15_scale_ok ~cores:r.t15_cores r.t15_scale
 
 (* The wire gate: every request accounted for with none hung, no
@@ -2018,8 +1945,8 @@ let e18_ok r =
 (* The gate harness. A gate prints its report and returns its verdict;
    the harness prints the verdict line from that bool, so no printer
    judges a gate and the printed verdict is the exit verdict. The
-   ordered registry of E1–E20 is {!Pna_gen.Gates.all}: E17, E19 and E20
-   live in lib/gen, which sees this library. *)
+   ordered registry of E1–E19 is {!Pna_gen.Gates.all}: E17 and E19 live
+   in lib/gen, which sees this library. *)
 
 type gate = { id : string; doc : string; run : Format.formatter -> bool }
 
@@ -2099,8 +2026,8 @@ let gates =
        runs flag-free; the oracle's cost reported."
       (fun () -> e14 ()) pp_e14 e14_ok;
     gate "E15"
-      "Vmem fast path equals the byte path and pays; pooled execution \
-       matches the driver and scales (1, 2, 4 domains)."
+      "Vmem fast path pays (>= 3x on a u32 loop; E19 checks it equals \
+       the byte path); pooled execution scales (1, 2, 4 domains)."
       (fun () -> e15 ()) pp_e15 e15_ok;
     gate "E16"
       "The wire gate: 20k-request load, protocol fuzz, 600-request chaos \

@@ -1,7 +1,7 @@
-(** The gate registry: one entry per EXPERIMENTS.md section, E1–E20 in
+(** The gate registry: one entry per EXPERIMENTS.md section, E1–E19 in
     order (E2 covers E3), behind [pna gate <ID>...|all]. E1–E16 and E18
-    are {!Pna.Experiments.gates}; E17, E19 and E20 are defined here,
-    the one library that sees both halves. Each gate runs at one fixed
+    are {!Pna.Experiments.gates}; E17 and E19 are defined here, the one
+    library that sees both halves. Each gate runs at one fixed
     size — the largest any caller used — so no caller checks less. *)
 
 module E = Pna.Experiments
@@ -16,17 +16,11 @@ let e17 =
 
 let e19 =
   E.gate "E19"
-    "The bytecode VM reproduces every row of the recorded tree-walker \
-     fixture."
+    "Every execution path (the recorded run, a rerun on the dirtied \
+     prepared machine, a thawed replica, the per-byte path, and the \
+     rewinds of both machines) reproduces the recorded fixture."
     (fun () -> Vmgate.run ()) Vmgate.pp
     (fun v -> v.Vmgate.v_ok)
-
-let e20 =
-  E.gate "E20"
-    "Copy-on-write rewinds and thawed replicas equal the full-copy \
-     reference over the catalogue and 300 seed-42 genomes."
-    (fun () -> Cowgate.run ()) Cowgate.pp
-    (fun c -> c.Cowgate.c_ok)
 
 let number (g : E.gate) =
   int_of_string (String.sub g.E.id 1 (String.length g.E.id - 1))
@@ -34,7 +28,7 @@ let number (g : E.gate) =
 let all =
   List.stable_sort
     (fun a b -> compare (number a) (number b))
-    (E.gates @ [ e17; e19; e20 ])
+    (E.gates @ [ e17; e19 ])
 
 (* The gates [ids] names, in registry order; ["all"] names every gate.
    An unknown id is an error that lists the valid ones. *)

@@ -1,4 +1,5 @@
-(** E19 — the bytecode VM against the recorded tree-walker.
+(** E19 — the one equivalence gate: every execution path against the
+    recorded observations.
 
     The repository once carried two execution engines: a tree-walking
     evaluator over the AST and the compiled bytecode VM
@@ -18,8 +19,25 @@
     and a digest of the event stream), the verdict, a digest of the
     PNASan violation list, the per-run Vmem access-accounting deltas
     (reads, writes, taint writes, faults — which pin taint propagation
-    byte for byte) and, for supervised runs, the retry history. A
-    divergent, missing, extra or unparsable row fails the gate. *)
+    byte for byte) and, for supervised runs, the retry history.
+
+    The recorded row is also the reference for the faster paths. On the
+    catalogue and [set:] rows the gate drives, besides the recorded run,
+
+    - [rerun]: a second run on the same prepared machine, so its rewind
+      blits the pages the first run dirtied;
+    - [replica]: a run on a replica thawed from the frozen image;
+    - [byte] (plain rows): the run supervised under an empty fault plan,
+      whose identity chaos hook sends every access down the per-byte
+      Vmem path instead of the multi-byte fast path;
+    - [rewind] and [replica-rewind]: the prepared machine and the
+      replica rewound once more, whose state must equal the loaded
+      machine's byte for byte.
+
+    The grinders ({!Pna_attacks.All.grinders}) spend their whole budget,
+    so their catalogue rows get only the two rewind checks, the replica
+    rewinding after a 20k-step prefix. A divergent, missing, extra or
+    unparsable row fails the gate. *)
 
 module Driver = Pna_attacks.Driver
 module Catalog = Pna_attacks.Catalog
@@ -33,6 +51,8 @@ module Outcome = Pna_minicpp.Outcome
 module San = Pna_sanitizer.Sanitizer
 module Plan = Pna_chaos.Plan
 module Jsonx = Pna_telemetry.Jsonx
+module Segment = Pna_vmem.Segment
+module Perm = Pna_vmem.Perm
 module R = Pna_rand.Rand
 
 (* -- observations ------------------------------------------------------ *)
@@ -106,17 +126,106 @@ let observation ?(supervision = "") (o : Outcome.t) (v : Catalog.verdict)
     o_supervision = supervision;
   }
 
-(* One rewound run with its access-accounting delta: the stats sampled
-   immediately around [run_prepared] so only the run itself is in the
-   window. *)
-let observe_run ~max_steps ~config ~sanitize (a : Catalog.t) =
-  let p = Driver.prepare ~config ~sanitize a in
-  let mem = Machine.mem (Driver.reset p) in
+(* [f ()] with the access-accounting delta it leaves on [mem]. *)
+let accounted mem f =
   let r0, w0, t0, f0 = accounting mem in
-  let r = Driver.run_prepared ~max_steps p in
+  let x = f () in
   let r1, w1, t1, f1 = accounting mem in
-  observation r.Driver.outcome r.Driver.verdict r.Driver.violations
-    (r1 - r0, w1 - w0, t1 - t0, f1 - f0)
+  (x, (r1 - r0, w1 - w0, t1 - t0, f1 - f0))
+
+(* One rewound run, the stats sampled immediately around [run_prepared]
+   so only the run itself is in the window. *)
+let observe_prepared ~max_steps p =
+  let r, delta =
+    accounted (Machine.mem (Driver.reset p)) (fun () ->
+        Driver.run_prepared ~max_steps p)
+  in
+  observation r.Driver.outcome r.Driver.verdict r.Driver.violations delta
+
+(* The same run down the per-byte path: supervised under an empty plan,
+   whose identity chaos hook disables every Vmem fast path without
+   changing a byte. The supervisor arms it after its own rewind, which
+   would clear a hook armed earlier. The observation carries no retry
+   history, so it compares with a plain row on every field. *)
+let observe_byte_path ~max_steps ~config p (a : Catalog.t) =
+  let s, delta =
+    accounted (Machine.mem (Driver.reset p)) (fun () ->
+        Driver.supervise ~config ~max_steps
+          ~reload:(fun () -> Driver.reset p)
+          ~plan:(Plan.empty 0) a)
+  in
+  observation s.Driver.sv_outcome s.Driver.sv_verdict [] delta
+
+(* Everything a rewind is supposed to reproduce, as labelled live
+   layers: segment geometry, permissions, contents and taint (straight
+   off the backing bytes — the dirty bitmaps are copy-on-write
+   bookkeeping and deliberately excluded), and the shadow map when a
+   sanitizer is attached. States are compared byte for byte, not
+   through a digest: hashing the ~2 MB would cost more than the runs it
+   checks. *)
+let machine_state m =
+  List.concat_map
+    (fun (s : Segment.t) ->
+      let label =
+        Fmt.str "%s|%x|%x|%s" (Segment.kind_name s.Segment.kind)
+          s.Segment.base s.Segment.size (Perm.to_string s.Segment.perm)
+      in
+      [ (label, s.Segment.bytes); (label ^ "|taint", s.Segment.taint) ])
+    (Vmem.segments (Machine.mem m))
+  @
+  match Machine.sanitizer m with
+  | None -> []
+  | Some sn ->
+    List.map
+      (fun (base, states) -> (Fmt.str "shadow|%x" base, states))
+      (San.shadow_images sn)
+
+let same_state a b =
+  List.equal (fun (l, x) (l', y) -> String.equal l l' && Bytes.equal x y) a b
+
+(* What one path saw of a row: an observation to compare with the
+   recorded one, or whether a rewind restored the loaded state. *)
+type seen = Observed of obs | Rewound of bool
+
+(* A grinder's replica only needs a deterministic prefix that dirties
+   pages before its rewind, not the whole grind. *)
+let grinder_prefix = 20_000
+
+(* The recorded run of a prepared row and, with [paths], a thunk that
+   drives the row's other paths afterwards on the same prepared machine
+   (only the two rewinds for a grinder). A fresh prepared machine is
+   synced to its snapshot with no page dirty, so the first rewind copies
+   nothing and [loaded] copies the post-load state. *)
+let observe_run ~max_steps ~config ~sanitize ~paths (a : Catalog.t) =
+  let p = Driver.prepare ~config ~sanitize a in
+  let loaded =
+    if paths then
+      List.map (fun (l, b) -> (l, Bytes.copy b)) (machine_state (Driver.reset p))
+    else []
+  in
+  let run = observe_prepared ~max_steps p in
+  let more () =
+    if not paths then []
+    else
+      let replica = Driver.thaw (Driver.freeze p) in
+      let observed =
+        if List.mem a.Catalog.id All.grinders then begin
+          ignore (Driver.run_prepared ~max_steps:grinder_prefix replica);
+          []
+        end
+        else
+          ("rerun", Observed (observe_prepared ~max_steps p))
+          :: ("replica", Observed (observe_prepared ~max_steps replica))
+          ::
+          (if sanitize then []
+           else [ ("byte", Observed (observe_byte_path ~max_steps ~config p a)) ])
+      in
+      let rewound m = Rewound (same_state (machine_state m) loaded) in
+      observed
+      @ [ ("rewind", rewound (Driver.reset p));
+          ("replica-rewind", rewound (Driver.reset replica)) ]
+  in
+  (run, more)
 
 (* A supervised run under a generated fault plan. Each attempt loads a
    fresh image (the supervisor's default); the accounting is summed over
@@ -152,8 +261,12 @@ let observe_supervised ~max_steps ~chaos_seed (a : Catalog.t) =
 
 (* A row: a stable key (no spaces) — its section, the catalogue id or
    [Genome.id], config, sanitize and budget — and the run that observes
-   it. *)
-type spec = { key : string; observe : unit -> obs }
+   it: the observation the fixture records, then a thunk for the row's
+   other paths. *)
+type spec = {
+  key : string;
+  observe : unit -> obs * (unit -> (string * seen) list);
+}
 
 let catalogue_budget = 200_000
 let set_budget = 60_000
@@ -180,7 +293,7 @@ let draw rng n =
   in
   go [] 0
 
-let genome_run section ~max_steps ~sanitize g =
+let genome_run section ~max_steps ~sanitize ~paths g =
   let a = Build.scenario g in
   {
     key =
@@ -188,7 +301,7 @@ let genome_run section ~max_steps ~sanitize g =
         (section
         @ [ Genome.id g; "none"; san_label sanitize; string_of_int max_steps ]);
     observe =
-      (fun () -> observe_run ~max_steps ~config:Config.none ~sanitize a);
+      (fun () -> observe_run ~max_steps ~config:Config.none ~sanitize ~paths a);
   }
 
 let catalogue =
@@ -206,7 +319,7 @@ let catalogue =
                 observe =
                   (fun () ->
                     observe_run ~max_steps:catalogue_budget ~config ~sanitize
-                      a);
+                      ~paths:true a);
               })
             [ false; true ])
         [ Config.none; Config.full ])
@@ -217,20 +330,23 @@ let catalogue =
 let stream ~seed ~n =
   List.map
     (genome_run [ "stream"; string_of_int seed ]
-       ~max_steps:Oracle.default_max_steps ~sanitize:true)
+       ~max_steps:Oracle.default_max_steps ~sanitize:true ~paths:false)
     (draw (R.create (seed lxor 0x19e4b3)) n)
 
 let genome_sets () =
   let plain_and_sanitized =
     List.concat_map
       (fun g ->
-        [ genome_run [ "set" ] ~max_steps:set_budget ~sanitize:false g;
-          genome_run [ "set" ] ~max_steps:set_budget ~sanitize:true g ])
+        [ genome_run [ "set" ] ~max_steps:set_budget ~sanitize:false
+            ~paths:true g;
+          genome_run [ "set" ] ~max_steps:set_budget ~sanitize:true
+            ~paths:true g ])
       (draw (R.create 0x5e7001) 300)
   in
   let deadline =
     List.map
-      (genome_run [ "deadline" ] ~max_steps:deadline_budget ~sanitize:true)
+      (genome_run [ "deadline" ] ~max_steps:deadline_budget ~sanitize:true
+         ~paths:false)
       (draw (R.create 0xdead11) 60)
   in
   let chaos =
@@ -245,7 +361,9 @@ let genome_sets () =
               [ "chaos"; Genome.id g; string_of_int chaos_seed; "none";
                 string_of_int set_budget ];
           observe =
-            (fun () -> observe_supervised ~max_steps:set_budget ~chaos_seed a);
+            (fun () ->
+              ( observe_supervised ~max_steps:set_budget ~chaos_seed a,
+                fun () -> [] ));
         })
       (draw rng 60)
   in
@@ -355,17 +473,23 @@ let record ~commit ~recorded_with ?(seed = default_seed) ?(n = default_n) () =
       ("stream-n", string_of_int n) ];
   List.iter
     (fun s ->
-      Buffer.add_string b (print_row s.key (s.observe ()));
+      Buffer.add_string b (print_row s.key (fst (s.observe ())));
       Buffer.add_char b '\n')
     (specs ~seed ~n ());
   Buffer.contents b
 
 (* -- the gate ------------------------------------------------------------ *)
 
-type divergence = { dv_key : string; dv_fields : string list }
+(* One path's check of one row; a divergence when [dv_fields] names the
+   fields that differ. *)
+type divergence = { dv_key : string; dv_path : string; dv_fields : string list }
+
+(* Every path, in report order; [run] is the one the fixture records. *)
+let paths = [ "run"; "rerun"; "replica"; "byte"; "rewind"; "replica-rewind" ]
 
 type t = {
   v_checked : int;  (** rows re-run and compared *)
+  v_paths : (string * int) list;  (** checks per path, in {!paths} order *)
   v_missing : string list;  (** expected rows the fixture lacks *)
   v_extra : string list;  (** fixture rows nothing expects *)
   v_diverged : divergence list;
@@ -388,6 +512,11 @@ let diff_fields a b =
         && a.o_taint_writes = b.o_taint_writes && a.o_faults = b.o_faults );
       ("supervision", a.o_supervision = b.o_supervision) ]
 
+let diff_seen want = function
+  | Observed o -> diff_fields want o
+  | Rewound true -> []
+  | Rewound false -> [ "state" ]
+
 (* [select] restricts the gate to the rows whose key it accepts, on both
    sides: expected rows it rejects are not run, recorded rows it rejects
    are not reported as extra. *)
@@ -395,24 +524,31 @@ let run ?(fixture = Vmgate_fixture.text) ?(seed = default_seed)
     ?(n = default_n) ?(select = fun _ -> true) () =
   match parse fixture with
   | Error e ->
-    { v_checked = 0; v_missing = []; v_extra = []; v_diverged = [];
-      v_error = Some e; v_header = []; v_ok = false }
+    { v_checked = 0; v_paths = []; v_missing = []; v_extra = [];
+      v_diverged = []; v_error = Some e; v_header = []; v_ok = false }
   | Ok f ->
     let recorded = Hashtbl.of_seq (List.to_seq f.f_rows) in
     let specs = List.filter (fun s -> select s.key) (specs ~seed ~n ()) in
     let expected = Hashtbl.create 4096 in
     List.iter (fun s -> Hashtbl.replace expected s.key ()) specs;
-    let missing = ref [] and diverged = ref [] and checked = ref 0 in
+    let checks = ref [] and missing = ref [] and checked = ref 0 in
     List.iter
       (fun s ->
         match Hashtbl.find_opt recorded s.key with
         | None -> missing := s.key :: !missing
         | Some want ->
           incr checked;
-          let fields = diff_fields want (s.observe ()) in
-          if fields <> [] then
-            diverged := { dv_key = s.key; dv_fields = fields } :: !diverged)
+          let run, more = s.observe () in
+          List.iter
+            (fun (path, seen) ->
+              checks :=
+                { dv_key = s.key; dv_path = path;
+                  dv_fields = diff_seen want seen }
+                :: !checks)
+            (("run", Observed run) :: more ()))
       specs;
+    let checks = List.rev !checks in
+    let diverged = List.filter (fun c -> c.dv_fields <> []) checks in
     let extra =
       List.filter_map
         (fun (k, _) ->
@@ -421,23 +557,30 @@ let run ?(fixture = Vmgate_fixture.text) ?(seed = default_seed)
     in
     {
       v_checked = !checked;
+      v_paths =
+        List.filter_map
+          (fun p ->
+            match List.filter (fun c -> c.dv_path = p) checks with
+            | [] -> None
+            | cs -> Some (p, List.length cs))
+          paths;
       v_missing = List.rev !missing;
       v_extra = extra;
-      v_diverged = List.rev !diverged;
+      v_diverged = diverged;
       v_error = None;
       v_header = f.f_header;
-      v_ok = !missing = [] && extra = [] && !diverged = [] && !checked > 0;
+      v_ok = !missing = [] && extra = [] && diverged = [] && !checked > 0;
     }
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>E19 — bytecode VM == recorded tree-walker@,%s@,"
+  Fmt.pf ppf "@[<v>E19 — every execution path == recorded observations@,%s@,"
     (String.make 100 '-');
   (match t.v_error with
   | Some e -> Fmt.pf ppf "fixture error: %s@," e
   | None -> ());
   List.iter
     (fun d ->
-      Fmt.pf ppf "%-60s DIVERGES  [%s]@," d.dv_key
+      Fmt.pf ppf "%-60s DIVERGES on %s  [%s]@," d.dv_key d.dv_path
         (String.concat "; " d.dv_fields))
     t.v_diverged;
   List.iter (fun k -> Fmt.pf ppf "%-60s MISSING from the fixture@," k) t.v_missing;
@@ -445,8 +588,12 @@ let pp ppf t =
   let h k = Option.value ~default:"?" (List.assoc_opt k t.v_header) in
   Fmt.pf ppf
     "fixture: format %s, recorded with %s at %s@,\
-     rows: %d checked, %d diverged, %d missing, %d extra (outcome, events, \
-     verdict, violations, access accounting, supervision)@]"
+     rows: %d checked, %d missing, %d extra (outcome, events, verdict, \
+     violations, access accounting, supervision)@,\
+     checks per path: %s (rewinds: loaded state byte for byte); %d \
+     diverged@]"
     (h "format") (h "recorded-with") (h "commit") t.v_checked
-    (List.length t.v_diverged) (List.length t.v_missing)
-    (List.length t.v_extra)
+    (List.length t.v_missing) (List.length t.v_extra)
+    (String.concat ", "
+       (List.map (fun (p, c) -> Fmt.str "%s %d" p c) t.v_paths))
+    (List.length t.v_diverged)

@@ -102,7 +102,7 @@ val state_at : t -> int -> state
 val shadow_images : t -> (int * Bytes.t) list
 (** [(base, states)] per shadow region, sorted by base — one state-code
     byte per simulated byte, the live backing (not a copy). Read-only
-    view for digests and equivalence checks (the E20 gate hashes it);
+    view for equivalence checks (the E19 gate compares it after rewinds);
     mutate through {!poison}/{!unpoison} only, or dirty tracking breaks. *)
 
 (** {1 Check control} *)

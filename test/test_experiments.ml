@@ -174,18 +174,9 @@ let test_e13_telemetry () =
 
 let test_e15_fast_path () =
   (* scale:[] skips the wall-clock scaling sweep (hardware-dependent; CI
-     asserts it via `pna gate E15`); the equivalence and live-speed claims
-     are structural and hold on any host *)
+     asserts it via `pna gate E15`); the equivalence of the two paths is
+     checked row by row by E19 (test_vm) *)
   let r = E.e15 ~iters:100_000 ~scale:[] () in
-  Alcotest.(check bool) "rows cover all scenarios x 2 configs" true
-    (List.length r.E.t15_rows = 2 * List.length Pna_attacks.All.attacks);
-  List.iter
-    (fun row ->
-      Alcotest.(check bool)
-        (Fmt.str "%s/%s fast==byte" row.E.fq_scenario row.E.fq_config)
-        true
-        (E.e15_equiv_row_ok row))
-    r.E.t15_rows;
   Alcotest.(check bool) "both speed legs timed" true
     (r.E.t15_speed.E.fs_fast_ns > 0. && r.E.t15_speed.E.fs_byte_ns > 0.);
   (* the real gate is >= 3x via `pna gate E15`; the tier-1 floor only
@@ -220,10 +211,10 @@ module Gates = Pna_gen.Gates
 
 let test_registry_order () =
   Alcotest.(check (list string)) "one gate per section, E3 folded into E2"
-    (List.init 20 succ |> List.filter (( <> ) 3) |> List.map (Fmt.str "E%d"))
+    (List.init 19 succ |> List.filter (( <> ) 3) |> List.map (Fmt.str "E%d"))
     (List.map (fun (g : E.gate) -> g.E.id) Gates.all);
   match Gates.select [ "all" ] with
-  | Ok gs -> Alcotest.(check int) "all selects every gate" 19 (List.length gs)
+  | Ok gs -> Alcotest.(check int) "all selects every gate" 18 (List.length gs)
   | Error m -> Alcotest.fail m
 
 let test_registry_unknown_id () =
@@ -311,10 +302,10 @@ let suite =
       t "E11: repair neutralizes all but copy loops" test_e11_repair_headline;
       t "E12: service matches driver; memo pays off" test_e12_service_throughput;
       t "E13: traces complete, no drops" test_e13_telemetry;
-      t "E15: fast path equivalent and faster" test_e15_fast_path;
+      t "E15: fast path beats the byte path" test_e15_fast_path;
       t "workload: heap churn" test_workload_heap_churn;
       t "gate fold: any failed verdict fails" test_gate_fold;
-      t "gate registry: E1-E20 in order" test_registry_order;
+      t "gate registry: E1-E19 in order" test_registry_order;
       t "gate registry: unknown id rejected" test_registry_unknown_id;
       t "E18: empty forensics read FAILED" test_e18_empty_forensics_fails;
       t "E18: default forensics leave no directory" test_e18_forensics_cleans_up;

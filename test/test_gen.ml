@@ -10,7 +10,6 @@ module Corpus = Pna_gen.Corpus
 module Minimize = Pna_gen.Minimize
 module Fuzz = Pna_gen.Fuzz
 module Gate = Pna_gen.Gate
-module Cowgate = Pna_gen.Cowgate
 module Config = Pna_defense.Config
 module Catalog = Pna_attacks.Catalog
 module All = Pna_attacks.All
@@ -186,34 +185,6 @@ let test_register_find () =
   Alcotest.(check bool) "registered ids listed" true
     (List.mem sc.Catalog.id (All.registered_ids ()))
 
-(* E20's reference on a sample: the rewound and thawed paths agree with a
-   fresh replica per round on a few catalogue attacks in every variant,
-   and on the head of the gate's genome stream. *)
-let test_cowgate_sample () =
-  List.iter
-    (fun id ->
-      let a =
-        match All.find id with
-        | Some a -> a
-        | None -> Alcotest.failf "%s not in the catalogue" id
-      in
-      List.iter
-        (fun config ->
-          List.iter
-            (fun sanitize ->
-              let r =
-                Cowgate.compare_paths ~max_steps:Cowgate.catalogue_budget
-                  ~config ~sanitize a
-              in
-              if not (Cowgate.row_ok r) then
-                Alcotest.failf "%a" Cowgate.pp_row r)
-            [ false; true ])
-        [ Config.none; Config.full ])
-    [ "L12-heap"; "L13-ret"; "L18-varptr"; "L22-leakobj" ];
-  match Cowgate.genomes ~seed:42 ~n:20 with
-  | [] -> ()
-  | r :: _ -> Alcotest.failf "%a" Cowgate.pp_row r
-
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "gen",
@@ -230,5 +201,4 @@ let suite =
       t "campaigns are deterministic and accounted" test_campaign_deterministic;
       t "the E17 gate passes at small n" test_gate_small;
       t "dynamic registration feeds All.find" test_register_find;
-      t "E20: rewinds equal a fresh replica on a sample" test_cowgate_sample;
     ] )

@@ -1,10 +1,11 @@
-(** The bytecode engine against the recorded tree-walker: the E19
-    fixture's plain catalogue rows and its fixed seeded genome sets —
-    plain and sanitized, under a tight step deadline and under chaos
-    fault plans — re-run on the VM, plus the fixture's own integrity: a
-    missing, extra or unparsable row fails the gate. The sanitized
-    catalogue rows and the seeded 1000-genome stream are checked by the
-    E19 gate ([pna gate E19]). *)
+(** Every execution path against the recorded observations: the E19
+    fixture's plain catalogue rows, the sanitized catalogue rows of four
+    attacks and its fixed seeded genome sets — plain and sanitized,
+    under a tight step deadline and under chaos fault plans — re-run on
+    the VM down each path the gate drives for them, plus the fixture's
+    own integrity: a missing, extra, unparsable or altered row fails the
+    gate. The other sanitized catalogue rows and the seeded 1000-genome
+    stream are checked by the E19 gate ([pna gate E19]). *)
 
 module VmGate = Pna_gen.Vmgate
 
@@ -25,9 +26,8 @@ let split_deadline () =
   List.partition (prefix "deadline:")
     (String.split_on_char '\n' Pna_gen.Vmgate_fixture.text)
 
-let gate_on lines =
-  VmGate.run ~fixture:(String.concat "\n" lines) ~select:(prefix "deadline:")
-    ()
+let gate_on ?(select = prefix "deadline:") lines =
+  VmGate.run ~fixture:(String.concat "\n" lines) ~select ()
 
 let test_removed_row_fails () =
   match split_deadline () with
@@ -67,12 +67,57 @@ let test_unparsable_fixture_fails () =
   let v = gate_on (headerless @ rows) in
   Alcotest.(check bool) "missing format version fails" false v.VmGate.v_ok
 
+(* A recorded row every path observes, with its reads bumped by one:
+   each of those paths must report the row as divergent. *)
+let test_altered_row_fails () =
+  let lines = String.split_on_char '\n' Pna_gen.Vmgate_fixture.text in
+  let target l = prefix "set:" l && contains ":plain:" l in
+  match List.find_opt target lines with
+  | None -> Alcotest.fail "fixture has no plain set rows"
+  | Some row ->
+    let key, o =
+      match VmGate.parse_row row with
+      | Ok r -> r
+      | Error m -> Alcotest.fail m
+    in
+    let bumped =
+      VmGate.print_row key { o with VmGate.o_reads = o.VmGate.o_reads + 1 }
+    in
+    let v =
+      gate_on ~select:(String.equal key)
+        (List.map (fun l -> if l == row then bumped else l) lines)
+    in
+    let observing = [ "run"; "rerun"; "replica"; "byte" ] in
+    Alcotest.(check bool) "gate fails" false v.VmGate.v_ok;
+    Alcotest.(check (list (pair string (list string))))
+      "every observing path diverges on accounting"
+      (List.map (fun p -> (p, [ "accounting" ])) observing)
+      (List.map
+         (fun d -> (d.VmGate.dv_path, d.VmGate.dv_fields))
+         (List.filter (fun d -> d.VmGate.dv_key = key) v.VmGate.v_diverged));
+    let report = String.split_on_char '\n' (Fmt.str "%a" VmGate.pp v) in
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) ("the report names " ^ p) true
+          (List.exists
+             (fun l -> prefix key l && contains ("DIVERGES on " ^ p ^ " ") l)
+             report))
+      observing
+
+let sanitized_sample k =
+  prefix "cat:" k && contains ":san:" k
+  && List.exists
+       (fun id -> prefix ("cat:" ^ id ^ ":") k)
+       [ "L12-heap"; "L13-ret"; "L18-varptr"; "L22-leakobj" ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "vm",
     [
       t "catalogue: engines agree plain"
         (check (fun k -> prefix "cat:" k && contains ":plain:" k));
+      t "catalogue: engines agree sanitized on a sample"
+        (check sanitized_sample);
       t "vm: engines agree on outcome, events and shadow verdict"
         (check (prefix "set:"));
       t "vm: a tight max_steps deadline trips at the same step"
@@ -83,4 +128,5 @@ let suite =
       t "fixture: an extra row fails the gate" test_extra_row_fails;
       t "fixture: an unparsable fixture fails the gate"
         test_unparsable_fixture_fails;
+      t "fixture: an altered row fails on every path" test_altered_row_fails;
     ] )
