@@ -270,8 +270,8 @@ let prepared_input p =
    the loader: the frozen post-load snapshot plus the immutable
    inputs. The snapshot is only ever read — [Machine.restore] never
    writes into it — so one image can back any number of domain-local
-   replicas; frozen segment pages are shared, and each replica's rewinds
-   are dirty-page blits against the shared backing. *)
+   replicas; frozen pages are shared, and each replica's rewinds write
+   its dirty pages from the shared copy. *)
 type image = {
   im_attack : Catalog.t;
   im_config : Config.t;
@@ -293,10 +293,12 @@ let freeze p =
 
 (* Instantiate a domain-local replica: a blank machine shell over the
    same fixed address map, the oracle re-attached when the image was
-   sanitized, then one restore to the shared snapshot, which copies every
-   byte (a fresh shell's stores are synced to nothing). After that first
-   restore the replica is synced, so its per-run rewinds blit only dirty
-   pages. [Layout.of_class] memoizes into the env's tables, so
+   sanitized, then one restore to the shared snapshot. A fresh shell's
+   stores are synced to the all-zero image, so that restore writes only
+   the snapshot's non-zero pages (the heap shadow's redzone fill among
+   them). After it the replica is synced to the snapshot, so its per-run
+   rewinds write only dirty pages. [Layout.of_class] memoizes into the
+   env's tables, so
    each replica gets its own copy of the env rather than racing other
    domains on the shared one (the layout values themselves are
    immutable). *)

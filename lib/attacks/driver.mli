@@ -123,8 +123,8 @@ val default_budget : int
     post-load snapshot plus program, config and compiled unit.
     It is only ever read, so one image may be shared between domains;
     {!thaw} instantiates a domain-local replica around it without
-    re-running the loader. Replicas share the image's frozen segment
-    backing, and their per-run rewinds are dirty-page blits against it. *)
+    re-running the loader. Replicas share the image's frozen pages, and
+    their per-run rewinds write only their dirty pages from it. *)
 
 type image
 

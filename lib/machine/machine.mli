@@ -74,10 +74,13 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Rewind to the snapshot. Chaos hooks are cleared: a restored machine
     behaves exactly like a freshly loaded one. Segment and shadow pages
-    rewind by the {!Pna_vmem.Cow} rule (dirty runs only when synced to
-    this snapshot, every byte otherwise); the symbol, vtable, global and
-    literal tables are persistent maps, put back by assignment. Results
-    are bit-identical to a freshly thawed replica (the E20 gate). *)
+    rewind by the {!Pna_vmem.Cow} rule: a page is written when it is
+    dirty, when the snapshot holds it as a private page, or when the
+    snapshot's fill byte for it differs from the synced copy's; the
+    symbol, vtable, global and literal tables are persistent maps, put
+    back by assignment. E19's [rewind] and [replica-rewind] paths check
+    that a rewound prepared machine and a rewound thawed replica both
+    equal the loaded machine byte for byte. *)
 
 (** {1 Text symbols and vtables} *)
 

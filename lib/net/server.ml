@@ -405,8 +405,10 @@ let serve t =
         continue := false
     done
   in
+  (* one read buffer per loop: a 64 KiB block goes straight to the major
+     heap, and the bytes read are copied out before the next read *)
+  let buf = Bytes.create 65536 in
   let read_ready c =
-    let buf = Bytes.create 65536 in
     match Unix.read c.fd buf 0 (Bytes.length buf) with
     | 0 ->
       (* peer finished sending; serve what is pending, then close *)

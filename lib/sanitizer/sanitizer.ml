@@ -43,8 +43,9 @@ type violation = {
 
 module Cow = Pna_vmem.Cow
 
-(* Shadow of one segment: states packed one byte each, the one layer of
-   a copy-on-write store, so snapshot rewinds blit only touched pages. *)
+(* Shadow of one segment: states packed one byte each, the one layer a
+   copy-on-write store allocates (zero: addressable), so a rewind writes
+   only touched pages and a frozen shadow keeps only its mixed pages. *)
 type shadow = {
   sh_base : int;
   sh_size : int;
@@ -143,9 +144,9 @@ let pp_violation ppf v =
     (if v.v_site = "" then "" else " at " ^ v.v_site)
 
 let shadow ~base ~size =
-  let states = Bytes.make size '\000' in
-  { sh_base = base; sh_size = size; sh_states = states;
-    sh_store = Cow.create [| states |] }
+  let store = Cow.make ~layers:1 size in
+  { sh_base = base; sh_size = size; sh_states = Cow.layer store 0;
+    sh_store = store }
 
 (* The shadow wholly covering [addr, addr+len), or [no_shadow]. Never
    allocates: the last hit is cached and the miss path is a plain walk. *)

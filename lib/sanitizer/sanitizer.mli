@@ -145,8 +145,9 @@ val restore : t -> snapshot -> unit
     site thunk, seal and exempt flags are runtime configuration and are
     untouched. Each shadow is a one-layer {!Pna_vmem.Cow} store, so it
     rewinds by the same rule as the memory it shadows: a shadow synced
-    to the snapshot's frozen states blits only its dirty pages, any
-    other copies them all. Results are bit-identical either way. *)
+    to the snapshot's frozen states writes only its dirty pages, any
+    other also the pages whose frozen state differs from its synced
+    copy's. *)
 
 (** {1 Printing / names} *)
 

@@ -188,10 +188,11 @@ let stats_json s : Jsonx.t =
 
 type image_key = string * string * bool  (** (scenario, config, sanitize) *)
 
-(* Per-worker context: the prepared-scenario cache. Machines are a
-   couple of megabytes each (contents + taint, twice: live + snapshot),
-   so the cache is bounded with FIFO eviction; hot scenarios stay
-   prepared, a cold sweep degrades to load-per-job. *)
+(* Per-worker context: the prepared-scenario cache. A live machine's
+   layers (contents + taint, plus shadows when sanitized) take 1.4 to
+   2.1 MB, while its frozen snapshot keeps only the pages that differ
+   from a uniform fill, so the cache is bounded with FIFO eviction; hot
+   scenarios stay prepared, a cold sweep degrades to thaw-per-job. *)
 type ctx = {
   cx_prepared : (image_key, Driver.prepared * int) Hashtbl.t;
       (** the prepared scenario + the {!input_digest} of its attacker
@@ -377,7 +378,9 @@ type t = {
           every other domain reads the digest from here to look up the
           memo, and thaws a local replica only when it must execute.
           Built entries are immutable and never evicted — one image per
-          (scenario, config, sanitize) point, bounded by the catalogue. *)
+          (scenario, config, sanitize) point, bounded by the catalogue.
+          An image keeps only its non-uniform pages (a few KiB for a
+          catalogue attack), plus its compiled unit and layout env. *)
   images_mutex : Mutex.t;  (** guards [images]; local misses only *)
   images_built : Condition.t;
       (** broadcast when a [Building] slot is filled or released *)

@@ -5,8 +5,8 @@
     input. Taint travels with every copy performed through {!Vmem}, which is
     what lets the attack drivers prove (rather than eyeball) that a saved
     return address or a vtable pointer has become attacker-controlled.
-    The two arrays are the layers of one {!Cow} store, so they rewind
-    together. *)
+    The two arrays are the layers of one {!Cow} store, which allocates
+    them zero-filled, so they rewind together. *)
 
 type kind = Text | Data | Bss | Heap | Stack | Mmap
 
@@ -36,14 +36,15 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  store : Cow.t;  (* [bytes] and [taint], in that layer order *)
+  store : Cow.t;  (* owns [bytes] and [taint], in that layer order *)
 }
 
 let create ~kind ~base ~size ~perm =
   if size <= 0 then invalid_arg "Segment.create: size must be positive";
   if base < 0 then invalid_arg "Segment.create: negative base";
-  let bytes = Bytes.make size '\000' and taint = Bytes.make size '\000' in
-  { kind; base; size; bytes; taint; perm; store = Cow.create [| bytes; taint |] }
+  let store = Cow.make ~layers:2 size in
+  { kind; base; size; bytes = Cow.layer store 0; taint = Cow.layer store 1;
+    perm; store }
 
 let limit t = t.base + t.size
 let contains t addr = addr >= t.base && addr < limit t

@@ -19,9 +19,10 @@ type t = {
   taint : Bytes.t;
   mutable perm : Perm.t;
   store : Cow.t;
-      (** [bytes] and [taint] as the two layers of one copy-on-write
-          store. Every writer calls {!Cow.mark} on the bytes it touched;
-          {!Vmem}'s snapshot and restore freeze and rewind the store. *)
+      (** The copy-on-write store that allocated [bytes] and [taint] as
+          its two zero-filled layers. Every writer calls {!Cow.mark} on
+          the bytes it touched; {!Vmem}'s snapshot and restore freeze and
+          rewind the store. *)
 }
 
 val create : kind:kind -> base:int -> size:int -> perm:Perm.t -> t

@@ -684,9 +684,8 @@ let set_taint t addr len tainted =
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore                                                   *)
 
-(* Each segment's store decides its own rewind (see {!Cow}): a store
-   synced to the frozen copy blits its dirty pages, any other the whole
-   copy. Only the segment list, permissions and trace are decided here. *)
+(* Each segment's store decides which pages a rewind writes (see {!Cow}).
+   Only the segment list, permissions and trace are decided here. *)
 
 let snapshot t =
   {

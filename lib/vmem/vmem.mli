@@ -141,14 +141,18 @@ val set_observer : t -> access_hook option -> unit
     snapshot or restore reuses the copy it is synced to), the permission
     words and the write-trace state, so it remains valid however the live
     space is mutated afterwards; frozen copies are never written, so
-    snapshots may be shared across domains.
+    snapshots may be shared across domains. A frozen copy keeps only the
+    256-byte pages that are not one byte repeated.
 
     Rewinds are copy-on-write, decided per segment by its {!Cow} store:
-    every write path marks the 256-byte pages it touches, and a segment
-    whose store is synced to the snapshot's frozen copy blits only its
-    dirty pages; any other segment (a fresh space, a different snapshot,
-    one mapped anew by the restore) copies every byte. Restored state is
-    bit-identical either way (the E20 gate proves it). *)
+    every write path marks the 256-byte pages it touches, and a restore
+    writes a page only when it is dirty, when the snapshot holds it as a
+    private page, or when the snapshot's fill byte for it differs from
+    the copy the store is synced to. A store synced to the snapshot's
+    own copy therefore writes only its dirty pages, and a fresh segment
+    (synced to the all-zero image) only the snapshot's non-zero pages.
+    E19's [rewind] and [replica-rewind] paths check that both kinds of
+    rewind reproduce the loaded state byte for byte. *)
 
 type snapshot
 

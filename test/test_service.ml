@@ -775,6 +775,29 @@ let prop_memo_replies_equal_fresh =
 
 (* ------------------------------------------------------------------ *)
 
+(* A frozen image keeps only the pages that are not one byte repeated:
+   benign_pool's post-load snapshot, plain and with the oracle attached,
+   holds a few hundred words where full copies of its layers would hold
+   about 172k (259k sanitized). Counted, not timed. *)
+let test_snapshot_memory_bound () =
+  let snapshot_words ~sanitize =
+    let m =
+      Pna_minicpp.Interp.load ~config:Config.none
+        Pna.Experiments.benign_pool.Catalog.program
+    in
+    if sanitize then
+      Machine.attach_sanitizer m
+        (Some (Pna_sanitizer.Sanitizer.attach (Machine.mem m)));
+    Obj.reachable_words (Obj.repr (Machine.snapshot m))
+  in
+  List.iter
+    (fun sanitize ->
+      let words = snapshot_words ~sanitize in
+      if words > 8192 then
+        Alcotest.failf "post-load snapshot (sanitize %b) holds %d words, over 8192"
+          sanitize words)
+    [ false; true ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "service",
@@ -817,4 +840,6 @@ let suite =
         test_memo_hit_without_replica;
       t "loads + thaws <= memo misses" test_images_bounded_by_misses;
       QCheck_alcotest.to_alcotest prop_memo_replies_equal_fresh;
+      t "post-load snapshot holds only non-uniform pages"
+        test_snapshot_memory_bound;
     ] )

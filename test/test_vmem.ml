@@ -231,10 +231,10 @@ let test_trace_ring_rewinds () =
   Vmem.restore m snap;
   Alcotest.(check bool) "records and drops rewound" true
     ((Vmem.trace m, Vmem.trace_dropped m) = want);
-  (* a fresh space restored from the snapshot takes the full-copy path *)
+  (* a fresh space restored from the snapshot agrees *)
   let twin = mk () in
   Vmem.restore twin snap;
-  Alcotest.(check bool) "full-copy restore agrees" true
+  Alcotest.(check bool) "fresh-space restore agrees" true
     ((Vmem.trace twin, Vmem.trace_dropped twin) = want);
   Vmem.clear_trace m;
   Alcotest.(check int) "clear forgets the records" 0 (List.length (Vmem.trace m));
@@ -445,14 +445,16 @@ let prop_fast_equals_bytepath =
       List.for_all (fun op -> eq_outcome fast op = eq_outcome slow op) ops
       && eq_state fast = eq_state slow)
 
-(* property: dirty-page rewinds reproduce the snapshot bit for bit — the
-   same segment bytes, taint and permissions (and shadow states when the
-   oracle rides along) as the state at snapshot time and as a fresh twin
-   space restored from the same snapshot (a never-synced space takes the
-   full-copy path), through nested snapshot/restore, re-dirtying between
-   rewinds, and whichever write path (fast, straddling, per-byte under a
-   chaos hook, with or without the sanitizer's observer) did the
-   dirtying *)
+(* property: dirty-page rewinds reproduce the snapshot bit for bit. The
+   reference is independent of every Cow store: a flat copy of the
+   segment bytes, taint and permissions (and shadow states when the
+   oracle rides along), taken byte by byte when the snapshot is made.
+   Both the rewound space and a fresh twin restored once from the same
+   snapshot (synced to the all-zero image, so it writes only the
+   snapshot's non-zero pages) must equal it, through nested
+   snapshot/restore, re-dirtying between rewinds, and whichever write
+   path (fast, straddling, per-byte under a chaos hook, with or without
+   the sanitizer's observer) did the dirtying *)
 
 module San = Pna_sanitizer.Sanitizer
 
@@ -511,7 +513,8 @@ let prop_cow_restore_bitexact =
         | Some s, Some h -> San.restore s h
         | _ -> ()
       in
-      (* the reference: a fresh space, never synced, restored once *)
+      (* a second path: a fresh space, synced to the all-zero image,
+         restored once *)
       let twin (v, sn) =
         let tw = mk_eq_layout layout in
         let tw_san = if sanitized then Some (San.attach tw) else None in
@@ -535,14 +538,15 @@ let prop_cow_restore_bitexact =
       (* rewind to the snapshot the space is synced to: dirty pages only *)
       restore snap2;
       let ok1 = agree snap2 want2 in
-      (* a sync miss with nothing dirty: only a full copy can rewind the
-         pages where the two snapshots differ *)
+      (* a sync miss with nothing dirty: only the page rule (private
+         pages, fills that differ) can rewind the pages where the two
+         snapshots differ *)
       restore snap1;
       let ok1' = agree snap1 want1 in
       restore snap2;
       drive h2;
-      (* rewind to the older snapshot: a sync miss, so it must fall back
-         to the full-copy path and re-sync *)
+      (* rewind to the older snapshot with pages dirty: a sync miss, so
+         it writes the dirty pages and the page rule's, then re-syncs *)
       restore snap1;
       let ok2 = agree snap1 want1 in
       (* clean rewind: nothing dirty, the fast no-op path *)
@@ -553,6 +557,84 @@ let prop_cow_restore_bitexact =
       restore snap1;
       let ok4 = agree snap1 want1 in
       ok1 && ok1' && ok2 && ok3 && ok4)
+
+(* property: Cow stores against a flat copying model. Two sibling stores
+   of one shape (one or two layers; most lengths not a multiple of the
+   256-byte page) take random pokes and spans, whole uniform pages among
+   them; a freeze records the store's flat contents beside the frozen
+   copy, a restore copies a recorded copy back. A fixed prefix freezes
+   three copies that differ in a uniform non-zero page. After every step
+   both stores equal the model, and every frozen copy, restored in turn
+   into one probe store (so each restore starts synced to another copy,
+   with nothing dirty), still equals the bytes it was frozen from: later
+   writes to its own store or to a sibling never reach it. *)
+
+type cow_op =
+  | Span of int * int * int * int * int  (* store, layer, off, len, byte *)
+  | Freeze of int  (* store *)
+  | Thaw of int * int  (* store, copy index (mod the copies made) *)
+
+let cow_gen =
+  QCheck.Gen.(
+    let* layers = int_range 1 2 in
+    let* len = oneof [ return 1024; int_range 1 1300 ] in
+    let store = int_bound 1 and layer = int_bound (layers - 1) in
+    let byte = oneofl [ 0; 1; 0x41; 0xff ] in
+    let page = map (fun p -> p * 256) (int_bound ((len - 1) / 256)) in
+    let span =
+      oneof
+        [
+          map3 (fun (s, l) off v -> Span (s, l, off, 256, v)) (pair store layer) page byte;
+          map3 (fun (s, l) (off, n) v -> Span (s, l, off, n, v))
+            (pair store layer) (pair (int_bound (len - 1)) (int_range 1 40)) byte;
+          map3 (fun (s, l) off v -> Span (s, l, off, 1, v)) (pair store layer)
+            (int_bound (len - 1)) (int_range 2 0xfe);
+        ]
+    in
+    let op =
+      frequency
+        [ (6, span); (2, map (fun s -> Freeze s) store);
+          (2, map2 (fun s i -> Thaw (s, i)) store (int_bound 50)) ]
+    in
+    (* three copies of store 0 that differ in a uniform non-zero page *)
+    let prefix =
+      List.concat_map (fun v -> [ Span (0, 0, 0, 256, v); Freeze 0 ]) [ 1; 2; 3 ]
+    in
+    map (fun ops -> (layers, len, prefix @ ops)) (list_size (int_range 1 60) op))
+
+let prop_cow_flat_model =
+  QCheck.Test.make ~count:300
+    ~name:"cow: paged frozen copies == flat copying model"
+    (QCheck.make cow_gen) (fun (layers, len, ops) ->
+      let stores = Array.init 2 (fun _ -> Cow.make ~layers len) in
+      let model = Array.init 2 (fun _ -> Array.init layers (fun _ -> Bytes.make len '\000')) in
+      let copies = ref [] in
+      let probe = Cow.make ~layers len in
+      let equal st flat =
+        Array.for_all2 Bytes.equal (Array.init layers (Cow.layer st)) flat
+      in
+      let step = function
+        | Span (s, l, off, n, v) ->
+          let n = min n (len - off) in
+          Bytes.fill (Cow.layer stores.(s) l) off n (Char.chr v);
+          Cow.mark stores.(s) off n;
+          Bytes.fill model.(s).(l) off n (Char.chr v)
+        | Freeze s ->
+          copies := !copies @ [ (Cow.freeze stores.(s), Array.map Bytes.copy model.(s)) ]
+        | Thaw (s, i) ->
+          let fz, flat = List.nth !copies (i mod List.length !copies) in
+          Cow.restore stores.(s) fz;
+          Array.iteri (fun l b -> Bytes.blit b 0 model.(s).(l) 0 len) flat
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          equal stores.(0) model.(0)
+          && equal stores.(1) model.(1)
+          && List.for_all
+               (fun (fz, flat) -> Cow.restore probe fz; equal probe flat)
+               !copies)
+        ops)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -594,4 +676,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fill_then_read;
       QCheck_alcotest.to_alcotest prop_fast_equals_bytepath;
       QCheck_alcotest.to_alcotest prop_cow_restore_bitexact;
+      QCheck_alcotest.to_alcotest prop_cow_flat_model;
     ] )
